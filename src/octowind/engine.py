@@ -26,11 +26,10 @@ from .geometry import (
     ModelSpace,
     RADIAL_DOMAIN,
     clock_rate,
+    coord_coefficients,
     coord_radius,
-    sde_coefficients,
-    stratonovich_drift_factor,
 )
-from .octonion import winding_form_array
+from .octonion import winding_form_cols
 
 EULER_MARUYAMA = "euler_maruyama"
 STRATONOVICH_HEUN = "stratonovich_heun"
@@ -300,20 +299,49 @@ def sample_windings_timechange(clock_end: np.ndarray, rng: np.random.Generator) 
 
 # ---------------------------------------------------------------------------
 # Coordinate simulation with Stratonovich line integration
+#
+# Both coordinate simulators share one step kernel.  It works on a batch
+# stored component-major, w of shape (8, n), so every array operation runs
+# along the paths, and it takes |w|^2 alongside w: the coefficients are
+# polynomials in |w|^2 (sigma = 1, 1 + |w|^2 or 1 - |w|^2; see
+# geometry.coord_coefficients), so each Heun stage needs one norm and no
+# trig.  The chart radius r = g(|w|) is only needed by the exit and
+# radial-jump checks.
 
-def _coordinate_step(space: ModelSpace, w: np.ndarray, dw_noise: np.ndarray, h: float, scheme: str) -> np.ndarray:
-    wn = np.linalg.norm(w, axis=-1)
+#: Largest radial change accepted from one coordinate step; about 15 standard
+#: deviations of one radial increment at dt = 1e-3.
+MAX_RADIAL_STEP = 0.5
+
+
+def _norm_sq(w: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->j", w, w)
+
+
+def _chart_radius(space: ModelSpace, norm_sq: np.ndarray):
+    """(|w|, r) from |w|^2, with the hyperbolic boundary clamped instead of raised."""
+    wn = np.sqrt(norm_sq)
+    if space is ModelSpace.FLAT:
+        return wn, wn
+    if space is ModelSpace.PROJECTIVE:
+        return wn, np.arctan(wn)
+    return wn, np.arctanh(np.minimum(wn, 1.0 - 1e-15))
+
+
+def _coordinate_step(space: ModelSpace, w: np.ndarray, norm_sq: np.ndarray, dw_noise: np.ndarray,
+                     h: float, scheme: str) -> np.ndarray:
+    """Advance the columns of w (8, n), with |w|^2 = norm_sq, by one
+    Euler-Maruyama or Stratonovich-Heun (predictor-corrector; Kloeden &
+    Platen 1992) step driven by the scaled increments dw_noise (8, n)."""
+    if space is ModelSpace.FLAT:
+        return w + dw_noise  # sigma = 1 and no drift in either form
     if scheme == EULER_MARUYAMA:
-        factor, sig = sde_coefficients(space, wn)
-        return w + factor[..., None] * w * h + sig[..., None] * dw_noise
-    bs = stratonovich_drift_factor(space, wn)
-    sig = sde_coefficients(space, wn)[1]
-    pred = w + bs[..., None] * w * h + sig[..., None] * dw_noise
-    pn = np.linalg.norm(pred, axis=-1)
-    bs2 = stratonovich_drift_factor(space, pn)
-    sig2 = sde_coefficients(space, pn)[1]
-    drift_avg = 0.5 * (bs[..., None] * w + bs2[..., None] * pred)
-    return w + drift_avg * h + 0.5 * (sig + sig2)[..., None] * dw_noise
+        sig, f = coord_coefficients(space, norm_sq, stratonovich=False)
+        return w + (f * h) * w + sig * dw_noise
+    sig, f = coord_coefficients(space, norm_sq, stratonovich=True)
+    fw = f * w
+    pred = w + fw * h + sig * dw_noise
+    sig2, f2 = coord_coefficients(space, _norm_sq(pred), stratonovich=True)
+    return w + (0.5 * h) * (fw + f2 * pred) + (0.5 * (sig + sig2)) * dw_noise
 
 
 def _chart_ceiling(space: ModelSpace, r_max: float) -> float:
@@ -329,7 +357,8 @@ def _chart_ceiling(space: ModelSpace, r_max: float) -> float:
 def simulate_coordinate(cfg: SimConfig, rng: Optional[np.random.Generator] = None):
     """One coordinate trajectory and its line-integral winding sample.
 
-    Raises :class:`SimulationError` if the path leaves the chart; the batch
+    Steps a batch of one through the batch step kernel.  Raises
+    :class:`SimulationError` if the path leaves the chart; the batch
     simulator falls back to the skew-product representation instead.
     """
     if cfg.w0 is None:
@@ -340,47 +369,38 @@ def simulate_coordinate(cfg: SimConfig, rng: Optional[np.random.Generator] = Non
     times = np.concatenate([[0.0], np.cumsum(steps)])
     w_hist = np.empty((len(steps) + 1, 8))
     z_hist = np.zeros((len(steps) + 1, 7))
-    w = cfg.w0.copy()
-    w_hist[0] = w
+    w = cfg.w0[:, None].copy()
+    n2 = _norm_sq(w)
+    wn, r = _chart_radius(cfg.space, n2)
+    w_hist[0] = cfg.w0
     ceiling = _chart_ceiling(cfg.space, cfg.r_max)
-    max_radial_step = 0.5  # ~15 standard deviations of one radial increment at dt = 1e-3
     for i, h in enumerate(steps):
-        wn = float(np.linalg.norm(w))
-        r = _safe_radius(cfg.space, np.array([wn]))[0]
-        if r >= ceiling or wn <= cfg.r_min:
+        if r[0] >= ceiling or wn[0] <= cfg.r_min:
             raise SimulationError(
-                f"coordinate path left the chart (radius {r:.4g}) at t = {times[i]:.6g}",
+                f"coordinate path left the chart (radius {r[0]:.4g}) at t = {times[i]:.6g}",
                 exit_time=float(times[i]),
             )
-        noise = rng.standard_normal(8) * math.sqrt(h)
-        w_new = _coordinate_step(cfg.space, w[None, :], noise[None, :], h, cfg.scheme)[0]
-        dw = w_new - w
+        noise = rng.standard_normal((1, 8)).T * math.sqrt(h)
+        w_new = _coordinate_step(cfg.space, w, n2, noise, h, cfg.scheme)
         if not np.all(np.isfinite(w_new)):
             raise SimulationError(
                 f"coordinate step produced non-finite values at t = {times[i + 1]:.6g}; reduce dt",
                 exit_time=float(times[i + 1]),
             )
-        r_new = _safe_radius(cfg.space, np.array([np.linalg.norm(w_new)]))[0]
-        if abs(r_new - r) > max_radial_step:
+        n2_new = _norm_sq(w_new)
+        wn_new, r_new = _chart_radius(cfg.space, n2_new)
+        if abs(r_new[0] - r[0]) > MAX_RADIAL_STEP:
             raise SimulationError(
-                f"coordinate step rejected (radius jump {abs(r_new - r):.3g}) at t = {times[i + 1]:.6g}; reduce dt",
+                f"coordinate step rejected (radius jump {abs(r_new[0] - r[0]):.3g}) at t = {times[i + 1]:.6g}; reduce dt",
                 exit_time=float(times[i + 1]),
             )
-        mid = 0.5 * (w + w_new)
-        z_hist[i + 1] = z_hist[i] + winding_form_array(mid, dw)
-        w = w_new
-        w_hist[i + 1] = w
+        z_hist[i + 1] = z_hist[i] + winding_form_cols(0.5 * (w + w_new), w_new - w)[:, 0]
+        w, n2, wn, r = w_new, n2_new, wn_new, r_new
+        w_hist[i + 1] = w[:, 0]
     path = CoordinatePath(cfg.space, times, w_hist, z_hist)
     sample = WindingSample(zeta=z_hist[-1].copy(), t_end=float(times[-1]), clock_end=None,
                            provenance="line_integral", seed=cfg.seed)
     return path, sample
-
-
-def _safe_radius(space: ModelSpace, w_norm: np.ndarray) -> np.ndarray:
-    """coord_radius with the hyperbolic boundary clamped instead of raised."""
-    if space is ModelSpace.HYPERBOLIC:
-        return np.arctanh(np.minimum(w_norm, 1.0 - 1e-15))
-    return np.asarray(coord_radius(space, w_norm), dtype=float)
 
 
 def simulate_coordinate_batch(
@@ -393,7 +413,7 @@ def simulate_coordinate_batch(
     scheme: str = STRATONOVICH_HEUN,
     r_min: float = 1e-6,
     r_max: float = 1.45,
-    max_radial_step: float = 0.5,
+    max_radial_step: float = MAX_RADIAL_STEP,
 ):
     """Vectorized line-integral windings: returns (zeta, n_switched).
 
@@ -401,65 +421,75 @@ def simulate_coordinate_batch(
     switch to the skew-product representation: the radial part continues in
     r, the residual clock is accumulated, and the remaining winding
     increment is drawn as N(0, dA I_7), which is its exact conditional law.
+
+    Every step draws one (n_paths, 8) normal block over all paths; a
+    switched path's radial step uses column 0 of its row.  One (k, 7) block
+    for the k switched paths, in path order, is drawn at the end.
+
+    The active paths are kept compacted: column j of w, its partial winding
+    and |w|^2, |w| and r belong to path idx[j].  These arrays are gathered
+    again, and the partial windings of the paths that leave are written out,
+    only on a step where some path switches.
     """
     w0 = np.asarray(w0, dtype=float)
-    r0 = _safe_radius(space, np.array([np.linalg.norm(w0)]))[0]
+    _, r0 = _chart_radius(space, _norm_sq(w0[:, None]))
     ceiling = _chart_ceiling(space, r_max)
-    if not (r_min < r0 < ceiling):
-        raise DomainError(f"w0 at radius {r0:.4g} outside the usable chart of {space.value}")
+    if not (r_min < r0[0] < ceiling):
+        raise DomainError(f"w0 at radius {r0[0]:.4g} outside the usable chart of {space.value}")
 
     drift = _drift_fn(space, None)
     lo_guard = r_min
     hi_guard = (math.pi / 2 - r_min) if space is ModelSpace.PROJECTIVE else math.inf
+    r_clip_hi = hi_guard - lo_guard if math.isfinite(hi_guard) else np.inf
 
-    w = np.tile(w0, (n_paths, 1))
     zeta = np.zeros((n_paths, 7))
-    switched = np.zeros(n_paths, dtype=bool)
-    r_sw = np.zeros(n_paths)
-    rate_sw = np.zeros(n_paths)
-    clock_sw = np.zeros(n_paths)
+    idx = np.arange(n_paths)
+    w = np.repeat(w0[:, None], n_paths, axis=1)
+    n2 = _norm_sq(w)
+    wn, r = _chart_radius(space, n2)
+    z = np.zeros((7, n_paths))
+    # Switched paths in the order they switched: path index, radius, clock
+    # rate at that radius, and the clock accrued since the switch.
+    sw_idx = np.empty(0, dtype=np.intp)
+    r_sw = rate_sw = clock_sw = np.empty(0)
 
     t_now = 0.0
     for h in _time_steps(t_end, dt):
-        noise = rng.standard_normal((n_paths, 8)) * math.sqrt(h)
+        noise = rng.standard_normal((n_paths, 8))
+        sqrt_h = math.sqrt(h)
         t_now += h
-        act = ~switched
-        if np.any(act):
-            wa = w[act]
-            wn = np.linalg.norm(wa, axis=1)
-            ra = _safe_radius(space, wn)
-            exiting = (ra >= ceiling) | (wn <= r_min)
-            w_new = _coordinate_step(space, wa, noise[act], h, scheme)
-            dw = w_new - wa
-            finite = np.all(np.isfinite(w_new), axis=1)
-            r_new = np.where(finite, _safe_radius(space, np.where(finite, np.linalg.norm(w_new, axis=1), 0.0)), np.inf)
-            rejected = ~finite | (np.abs(r_new - ra) > max_radial_step)
-            bad = exiting | rejected
-            good = ~bad
-            if np.any(good):
-                mid = 0.5 * (wa[good] + w_new[good])
-                inc = winding_form_array(mid, dw[good])
-                idx = np.flatnonzero(act)
-                zeta[idx[good]] += inc
-                w[idx[good]] = w_new[good]
-            if np.any(bad):
-                idx = np.flatnonzero(act)[bad]
-                switched[idx] = True
-                r_here = np.clip(ra[bad], lo_guard * 2.0, hi_guard - lo_guard if math.isfinite(hi_guard) else np.inf)
-                r_sw[idx] = r_here
-                rate_sw[idx] = clock_rate(space, r_here)
-        sw = switched.copy()
-        if np.any(sw):
-            r_prev = r_sw[sw]
-            r_next = _radial_step(space, drift, None, r_prev, noise[sw, 0], h, lo_guard, hi_guard, t_now)
+        if idx.size:
+            active = noise if idx.size == n_paths else noise[idx]
+            w_new = _coordinate_step(space, w, n2, np.multiply(active.T, sqrt_h, order="C"), h, scheme)
+            n2_new = _norm_sq(w_new)
+            wn_new, r_new = _chart_radius(space, n2_new)
+            bad = ((r >= ceiling) | (wn <= r_min) | ~np.isfinite(n2_new)
+                   | (np.abs(r_new - r) > max_radial_step))
+            if bad.any():
+                out = idx[bad]
+                zeta[out] = z[:, bad].T
+                r_here = np.clip(r[bad], lo_guard * 2.0, r_clip_hi)
+                sw_idx = np.concatenate([sw_idx, out])
+                r_sw = np.concatenate([r_sw, r_here])
+                rate_sw = np.concatenate([rate_sw, clock_rate(space, r_here)])
+                clock_sw = np.concatenate([clock_sw, np.zeros(out.size)])
+                keep = ~bad
+                idx, w, z, w_new = idx[keep], w[:, keep], z[:, keep], w_new[:, keep]
+                n2_new, wn_new, r_new = n2_new[keep], wn_new[keep], r_new[keep]
+            if idx.size:
+                z += winding_form_cols(0.5 * (w + w_new), w_new - w)
+            w, n2, wn, r = w_new, n2_new, wn_new, r_new
+        if sw_idx.size:
+            r_next = _radial_step(space, drift, None, r_sw, noise[sw_idx, 0] * sqrt_h, h,
+                                  lo_guard, hi_guard, t_now)
             new_rate = clock_rate(space, r_next)
-            clock_sw[sw] += 0.5 * h * (rate_sw[sw] + new_rate)
-            r_sw[sw] = r_next
-            rate_sw[sw] = new_rate
-    if np.any(switched):
-        k = int(switched.sum())
-        zeta[switched] += rng.standard_normal((k, 7)) * np.sqrt(clock_sw[switched])[:, None]
-    return zeta, int(switched.sum())
+            clock_sw += 0.5 * h * (rate_sw + new_rate)
+            r_sw, rate_sw = r_next, new_rate
+    zeta[idx] = z.T
+    if sw_idx.size:
+        order = np.argsort(sw_idx)
+        zeta[sw_idx[order]] += rng.standard_normal((sw_idx.size, 7)) * np.sqrt(clock_sw[order])[:, None]
+    return zeta, int(sw_idx.size)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ the inhomogeneous coordinate w to the geodesic distance r from the origin:
 * projective:  r in (0, pi/2),  drift 7 cot(2r),    clock 4/sin^2(2r),    r = arctan|w|
 * hyperbolic:  r in (0, inf),   drift 7 coth(2r),   clock 4/sinh^2(2r),   r = artanh|w|
 
+The coordinate SDE dw = sigma dW + f w dt has sigma = sec^2 r = 1 + |w|^2
+(projective), sech^2 r = 1 - |w|^2 (hyperbolic) or 1 (flat), so its
+coefficients are polynomials in |w|^2.
+
 All functions accept scalars or numpy arrays for r / w_norm.
 """
 
@@ -75,18 +79,23 @@ def clock_rate(space: ModelSpace, r):
     return out if out.ndim else float(out)
 
 
-def coord_radius(space: ModelSpace, w_norm):
-    """Geodesic distance r from the origin for a coordinate of norm |w|."""
+def _check_norm(space: ModelSpace, w_norm) -> np.ndarray:
     w_norm = np.asarray(w_norm, dtype=float)
     if np.any(w_norm < 0):
         raise DomainError("coordinate norm must be nonnegative")
+    if space is ModelSpace.HYPERBOLIC and np.any(w_norm >= 1.0):
+        raise DomainError("hyperbolic chart requires |w| < 1")
+    return w_norm
+
+
+def coord_radius(space: ModelSpace, w_norm):
+    """Geodesic distance r from the origin for a coordinate of norm |w|."""
+    w_norm = _check_norm(space, w_norm)
     if space is ModelSpace.FLAT:
         out = w_norm.copy()
     elif space is ModelSpace.PROJECTIVE:
         out = np.arctan(w_norm)
     else:
-        if np.any(w_norm >= 1.0):
-            raise DomainError("hyperbolic chart requires |w| < 1")
         out = np.arctanh(w_norm)
     return out if out.ndim else float(out)
 
@@ -103,31 +112,46 @@ def coord_norm(space: ModelSpace, r):
     return out if out.ndim else float(out)
 
 
+# Per space (s, c): sigma = 1 + s |w|^2 and drift factor c k sigma, because
+# sec^2(arctan u) = 1 + u^2 and sech^2(artanh u) = 1 - u^2.
+_CHART_SIGNS = {
+    ModelSpace.FLAT: (0.0, 0.0),
+    ModelSpace.PROJECTIVE: (1.0, -1.0),
+    ModelSpace.HYPERBOLIC: (-1.0, 1.0),
+}
+
+
+def coord_coefficients(space: ModelSpace, norm_sq, stratonovich: bool):
+    """Unchecked (sigma, drift_factor) of the coordinate SDE at |w|^2 = norm_sq.
+
+    sigma is 1 (flat), 1 + |w|^2 (projective) or 1 - |w|^2 (hyperbolic); the
+    drift factor is k = 6 (Ito) or 7 (Stratonovich) times -sigma, +sigma or
+    0.  The path simulators call this on every step; the public functions
+    below validate first.
+    """
+    s, c = _CHART_SIGNS[space]
+    sig = 1.0 + s * norm_sq
+    return sig, ((7.0 if stratonovich else 6.0) * c) * sig
+
+
+def _scalar(x):
+    return x if np.ndim(x) else float(x)
+
+
 def sde_coefficients(space: ModelSpace, w_norm):
     """Scalar coefficients (drift_factor, diffusion) of the coordinate SDE.
 
     The Ito SDE reads dw = diffusion * dW + drift_factor * w dt, with
 
     * flat:        (0, 1)
-    * projective:  (-6 sec^2 r, sec^2 r)
-    * hyperbolic:  (+6 sech^2 r, sech^2 r)
+    * projective:  (-6 sec^2 r, sec^2 r) = (-6 (1 + |w|^2), 1 + |w|^2)
+    * hyperbolic:  (+6 sech^2 r, sech^2 r) = (6 (1 - |w|^2), 1 - |w|^2)
 
     evaluated at r = coord_radius(space, |w|).
     """
-    r = coord_radius(space, w_norm)
-    if space is ModelSpace.FLAT:
-        shaped = np.zeros_like(np.asarray(r, dtype=float))
-        return (shaped if shaped.ndim else 0.0,
-                shaped + 1.0 if shaped.ndim else 1.0)
-    if space is ModelSpace.PROJECTIVE:
-        sig = 1.0 / np.cos(r) ** 2
-        factor = -6.0 * sig
-    else:
-        sig = 1.0 / np.cosh(r) ** 2
-        factor = 6.0 * sig
-    if np.ndim(sig):
-        return factor, sig
-    return float(factor), float(sig)
+    w_norm = _check_norm(space, w_norm)
+    sig, factor = coord_coefficients(space, w_norm * w_norm, stratonovich=False)
+    return _scalar(factor), _scalar(sig)
 
 
 def stratonovich_drift_factor(space: ModelSpace, w_norm):
@@ -135,14 +159,11 @@ def stratonovich_drift_factor(space: ModelSpace, w_norm):
 
     The Ito-to-Stratonovich correction for the isotropic diffusion
     sigma(|w|) I_8 is (1/2) sigma sigma'(|w|) w/|w|, which shifts the drift
-    factor by -sec^2 r (projective) and +sech^2 r (hyperbolic).
+    factor by -sec^2 r (projective) and +sech^2 r (hyperbolic): -7 (1 + |w|^2)
+    and 7 (1 - |w|^2).
     """
-    if space is ModelSpace.FLAT:
-        return sde_coefficients(space, w_norm)[0]
-    factor, sig = sde_coefficients(space, w_norm)
-    if space is ModelSpace.PROJECTIVE:
-        return factor - sig
-    return factor + sig
+    w_norm = _check_norm(space, w_norm)
+    return _scalar(coord_coefficients(space, w_norm * w_norm, stratonovich=True)[1])
 
 
 def coordinate_sde_coeffs(space: ModelSpace, w: Octonion) -> tuple[Octonion, float]:

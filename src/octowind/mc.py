@@ -25,6 +25,7 @@ from .engine import (
     simulate_flat_exact_batch,
     simulate_radial_batch,
 )
+from .errors import ConfigError
 from .geometry import ModelSpace
 
 DEFAULT_BLOCK_SIZE = 25_000
@@ -34,7 +35,10 @@ def default_workers() -> int:
     """Worker count: OCTOWIND_WORKERS if set, else 1 (in-process)."""
     env = os.environ.get("OCTOWIND_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"OCTOWIND_WORKERS = {env!r} is not an integer") from None
     return 1
 
 

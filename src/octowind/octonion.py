@@ -202,7 +202,33 @@ def conj_array(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _build_eta_matrix() -> np.ndarray:
+    # eta_k(x, v) |x|^2 = Im(conj(x) v)_k = sum_{a,b} sign_a M[a, b, k] x_a v_b is
+    # bilinear; row 8k + b of the result holds the coefficients of x_a in the
+    # factor multiplying v_b, with the conjugation sign of x_a folded in.
+    sign = np.array([1.0] + [-1.0] * 7)
+    eta = (sign[:, None, None] * STRUCTURE[:, :, 1:]).transpose(2, 1, 0).reshape(56, 8)
+    eta = np.ascontiguousarray(eta)
+    eta.setflags(write=False)
+    return eta
+
+
+#: Constant (56, 8) matrix of the winding form: (_ETA @ x)[8k + b] * v_b summed
+#: over b is |x|^2 eta_k(x, v).
+_ETA = _build_eta_matrix()
+
+
+def winding_form_cols(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Winding form on component-major arrays: x, v of shape (8, ...) give (7, ...).
+
+    One matmul builds the 7 x 8 matrix of the bilinear form at each base
+    point, one contraction applies it to v.  The caller guarantees the base
+    points are nonzero.
+    """
+    a = (_ETA @ x.reshape(8, -1)).reshape((7, 8) + x.shape[1:])
+    return np.einsum("kb...,b...->k...", a, v) / np.einsum("a...,a...->...", x, x)
+
+
 def winding_form_array(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Batched winding form; caller guarantees the base points are nonzero."""
-    n2 = np.sum(x * x, axis=-1)
-    return mul_array(conj_array(x), v)[..., 1:] / n2[..., None]
+    """Batched winding form on (..., 8) arrays; caller guarantees the base points are nonzero."""
+    return winding_form_cols(x.T, v.T).T

@@ -16,13 +16,15 @@ from octowind.engine import (
     make_rng,
     sample_winding_timechange,
     simulate_coordinate,
+    simulate_coordinate_batch,
     simulate_flat_exact_batch,
     simulate_radial,
     simulate_radial_batch,
     simulate_tilted_radial,
 )
 from octowind.errors import DomainError, SimulationError
-from octowind.geometry import ModelSpace
+from octowind.geometry import ModelSpace, clock_rate
+from octowind.octonion import conj_array, mul_array
 
 
 class ZeroNoise:
@@ -271,6 +273,128 @@ def test_coordinate_batch_deterministic_and_flat_law():
     # winding coordinates are centered
     se = z1.std(ddof=1) / math.sqrt(z1.size)
     assert abs(z1.mean()) < 5 * se
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the reference coordinate kernel
+#
+# The reference below is the straightforward form of the batch kernel: the
+# winding form through the octonion product, the coefficients through the
+# chart radius and trig functions, and a boolean gather/scatter of the
+# active paths on every step.  The production kernel must draw the same
+# normals and reproduce it to rounding.
+
+def _reference_coefficients(space, wn):
+    """(sigma, Ito factor, Stratonovich factor) from r = coord_radius(|w|)."""
+    if space is ModelSpace.FLAT:
+        return np.ones_like(wn), np.zeros_like(wn), np.zeros_like(wn)
+    if space is ModelSpace.PROJECTIVE:
+        sig = 1.0 / np.cos(np.arctan(wn)) ** 2
+        return sig, -6.0 * sig, -6.0 * sig - sig
+    sig = 1.0 / np.cosh(np.arctanh(wn)) ** 2
+    return sig, 6.0 * sig, 6.0 * sig + sig
+
+
+def _reference_step(space, w, dw_noise, h, scheme):
+    wn = np.linalg.norm(w, axis=-1)
+    sig, ito, strat = _reference_coefficients(space, wn)
+    if scheme == EULER_MARUYAMA:
+        return w + ito[:, None] * w * h + sig[:, None] * dw_noise
+    pred = w + strat[:, None] * w * h + sig[:, None] * dw_noise
+    sig2, _, strat2 = _reference_coefficients(space, np.linalg.norm(pred, axis=-1))
+    drift_avg = 0.5 * (strat[:, None] * w + strat2[:, None] * pred)
+    return w + drift_avg * h + 0.5 * (sig + sig2)[:, None] * dw_noise
+
+
+def _reference_radius(space, wn):
+    if space is ModelSpace.HYPERBOLIC:
+        return np.arctanh(np.minimum(wn, 1.0 - 1e-15))
+    return np.arctan(wn) if space is ModelSpace.PROJECTIVE else wn.copy()
+
+
+def _reference_coordinate_batch(space, w0, t_end, dt, n_paths, rng, scheme,
+                                r_min=1e-6, r_max=1.45, max_radial_step=0.5):
+    ceiling = engine._chart_ceiling(space, r_max)
+    drift = engine._drift_fn(space, None)
+    lo_guard = r_min
+    hi_guard = (math.pi / 2 - r_min) if space is ModelSpace.PROJECTIVE else math.inf
+    w = np.tile(w0, (n_paths, 1))
+    zeta = np.zeros((n_paths, 7))
+    switched = np.zeros(n_paths, dtype=bool)
+    r_sw = np.zeros(n_paths)
+    rate_sw = np.zeros(n_paths)
+    clock_sw = np.zeros(n_paths)
+    t_now = 0.0
+    for h in engine._time_steps(t_end, dt):
+        noise = rng.standard_normal((n_paths, 8)) * math.sqrt(h)
+        t_now += h
+        act = ~switched
+        if np.any(act):
+            wa = w[act]
+            wn = np.linalg.norm(wa, axis=1)
+            ra = _reference_radius(space, wn)
+            exiting = (ra >= ceiling) | (wn <= r_min)
+            w_new = _reference_step(space, wa, noise[act], h, scheme)
+            dw = w_new - wa
+            finite = np.all(np.isfinite(w_new), axis=1)
+            r_new = np.where(finite, _reference_radius(
+                space, np.where(finite, np.linalg.norm(w_new, axis=1), 0.0)), np.inf)
+            bad = exiting | ~finite | (np.abs(r_new - ra) > max_radial_step)
+            good = ~bad
+            idx = np.flatnonzero(act)
+            if np.any(good):
+                mid = 0.5 * (wa[good] + w_new[good])
+                n2 = np.sum(mid * mid, axis=1)
+                zeta[idx[good]] += mul_array(conj_array(mid), dw[good])[:, 1:] / n2[:, None]
+                w[idx[good]] = w_new[good]
+            if np.any(bad):
+                switched[idx[bad]] = True
+                r_here = np.clip(ra[bad], lo_guard * 2.0,
+                                 hi_guard - lo_guard if math.isfinite(hi_guard) else np.inf)
+                r_sw[idx[bad]] = r_here
+                rate_sw[idx[bad]] = clock_rate(space, r_here)
+        sw = switched.copy()
+        if np.any(sw):
+            r_next = engine._radial_step(space, drift, None, r_sw[sw], noise[sw, 0], h,
+                                         lo_guard, hi_guard, t_now)
+            new_rate = clock_rate(space, r_next)
+            clock_sw[sw] += 0.5 * h * (rate_sw[sw] + new_rate)
+            r_sw[sw] = r_next
+            rate_sw[sw] = new_rate
+    k = int(switched.sum())
+    if k:
+        zeta[switched] += rng.standard_normal((k, 7)) * np.sqrt(clock_sw[switched])[:, None]
+    return zeta, k
+
+
+@pytest.mark.parametrize("scheme", [EULER_MARUYAMA, STRATONOVICH_HEUN])
+@pytest.mark.parametrize(
+    "space,r0",
+    [(ModelSpace.FLAT, 1.0), (ModelSpace.PROJECTIVE, 0.5), (ModelSpace.HYPERBOLIC, 1.0),
+     (ModelSpace.PROJECTIVE, 1.4)],
+)
+def test_coordinate_batch_matches_reference_kernel(space, r0, scheme):
+    # t = 3 takes every hyperbolic path past the chart ceiling; r0 = 1.4
+    # starts projective paths just below theirs, so the fallback runs there too.
+    w0 = _w0(space, r0)
+    n_paths, t_end = 200, 3.0
+    z_ref, k_ref = _reference_coordinate_batch(space, w0, t_end, 1e-3, n_paths, make_rng(71, (3,)), scheme)
+    z, k = simulate_coordinate_batch(space, w0, t_end, 1e-3, n_paths, make_rng(71, (3,)), scheme=scheme)
+    assert k == k_ref
+    assert np.max(np.abs(z - z_ref)) <= 1e-12
+    if space is ModelSpace.HYPERBOLIC:
+        assert k == n_paths
+    if r0 == 1.4:
+        assert 0 < k < n_paths
+
+
+def test_single_coordinate_path_is_a_batch_of_one():
+    cfg = SimConfig(space=ModelSpace.PROJECTIVE, t_end=0.5, dt=1e-3,
+                    w0=_w0(ModelSpace.PROJECTIVE, 0.6), seed=78)
+    _, sample = simulate_coordinate(cfg)
+    z, k = simulate_coordinate_batch(cfg.space, cfg.w0, cfg.t_end, cfg.dt, 1, make_rng(cfg.seed))
+    assert k == 0
+    assert np.array_equal(sample.zeta, z[0])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from octowind import Octonion, conj, imag, inv, mul, norm, norm_sq, polar, winding_form
 from octowind.errors import DomainError
@@ -158,3 +161,40 @@ def test_arithmetic_operators(rng):
     assert np.allclose((a * 2.0).c, (2.0 * a).c)
     assert np.allclose((a / 2.0).c, a.c / 2.0)
     assert np.allclose((a * b).c, mul(a, b).c)
+
+
+# ---------------------------------------------------------------------------
+# Properties of the batched winding-form kernel
+
+# Components are 0 or of magnitude in [1e-6, 1e3], so no product underflows.
+_coordinate = st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6))
+_components = arrays(np.float64, (8,), elements=_coordinate)
+_points = _components.filter(lambda x: np.linalg.norm(x) > 1e-3)
+_scales = st.floats(1e-3, 1e3).flatmap(lambda c: st.sampled_from([c, -c]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_points)
+def test_eta_vanishes_along_the_base_point(x):
+    assert np.max(np.abs(winding_form_array(x, x))) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_points, _components, _scales)
+def test_eta_is_invariant_under_joint_scaling(x, v, c):
+    # |eta(x, v)| <= |v| / |x|, which sets the scale of the rounding error.
+    scale = np.linalg.norm(v) / np.linalg.norm(x)
+    dev = np.max(np.abs(winding_form_array(c * x, c * v) - winding_form_array(x, v)))
+    assert dev <= 1e-12 * scale
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(arrays(np.float64, (5, 8), elements=_coordinate), arrays(np.float64, (5, 8), elements=_coordinate))
+def test_eta_matches_printed_coordinates(x, v):
+    from octowind.cli import _printed_winding
+
+    keep = np.linalg.norm(x, axis=1) > 1e-3
+    x, v = x[keep], v[keep]
+    scale = np.linalg.norm(v, axis=1) / np.linalg.norm(x, axis=1)
+    dev = np.max(np.abs(winding_form_array(x, v) - _printed_winding(x, v)), axis=1, initial=0.0)
+    assert np.all(dev <= 1e-12 * scale)
