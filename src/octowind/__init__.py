@@ -28,7 +28,6 @@ from .geometry import (
     clock_rate,
     coord_norm,
     coord_radius,
-    coordinate_sde_coeffs,
     radial_drift,
 )
 from .engine import (
@@ -39,14 +38,11 @@ from .engine import (
     RadialPath,
     SimConfig,
     WindingSample,
-    accumulate_clock,
     log_time_grid,
     make_rng,
-    sample_winding_timechange,
     simulate_coordinate,
     simulate_flat_exact_batch,
     simulate_radial,
-    simulate_tilted_radial,
 )
 from .specfun import (
     bessel_i,

@@ -30,14 +30,8 @@ import numpy as np
 from . import engine, mc, specfun, stats
 from .engine import DEFAULT_SEED, SCHEMES, STRATONOVICH_HEUN, SimConfig
 from .errors import ConfigError, OctowindError
-from .geometry import ModelSpace, coord_radius
+from .geometry import ModelSpace
 from .octonion import Octonion, mul, mul_array, winding_form_array
-
-_KNOWN_KEYS = {
-    "space", "t_end", "dt", "n_paths", "r0", "w0", "lambda_norms",
-    "seed", "out", "scheme", "workers", "block_size",
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -70,6 +64,9 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+_KNOWN_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
 def _validate(raw: dict) -> ExperimentConfig:
     violations = []
     cfg = ExperimentConfig()
@@ -87,6 +84,15 @@ def _validate(raw: dict) -> ExperimentConfig:
             violations.append(f"{key} = {known[key]!r} is not a valid {cast.__name__}")
             return default
 
+    def numbers(key):
+        vals = known[key]
+        if isinstance(vals, str):
+            vals = [v for v in vals.split(",") if v.strip()]
+        try:
+            return [float(v) for v in vals]
+        except (TypeError, ValueError):
+            violations.append(f"{key} = {known[key]!r}; expected comma-separated numbers")
+
     if "space" in known:
         try:
             cfg.space = ModelSpace.parse(str(known["space"]))
@@ -96,7 +102,13 @@ def _validate(raw: dict) -> ExperimentConfig:
     cfg.dt = number("dt", float, cfg.dt)
     cfg.n_paths = number("n_paths", int, cfg.n_paths)
     cfg.seed = number("seed", int, cfg.seed)
-    cfg.workers = number("workers", int, cfg.workers)
+    if "workers" in known:
+        cfg.workers = number("workers", int, cfg.workers)
+    else:
+        try:
+            cfg.workers = mc.default_workers()
+        except ConfigError as exc:
+            violations.extend(exc.violations)
     cfg.block_size = number("block_size", int, cfg.block_size)
     if "r0" in known:
         cfg.r0 = number("r0", float, None)
@@ -104,51 +116,20 @@ def _validate(raw: dict) -> ExperimentConfig:
         cfg.out = str(known["out"])
     if "scheme" in known:
         cfg.scheme = str(known["scheme"])
-    if "lambda_norms" in known:
-        vals = known["lambda_norms"]
-        if isinstance(vals, str):
-            vals = [v for v in vals.split(",") if v.strip()]
-        try:
-            cfg.lambda_norms = [float(v) for v in vals]
-        except (TypeError, ValueError):
-            violations.append(f"lambda_norms = {known['lambda_norms']!r} is not a list of numbers")
-    if "w0" in known:
-        vals = known["w0"]
-        if isinstance(vals, str):
-            vals = [v for v in vals.split(",") if v.strip()]
-        try:
-            w0 = np.array([float(v) for v in vals])
-            if w0.shape != (8,):
-                raise ValueError
-            cfg.w0 = w0
-        except (TypeError, ValueError):
-            violations.append(f"w0 = {known['w0']!r}; expected 8 comma-separated numbers")
+    if "lambda_norms" in known and (vals := numbers("lambda_norms")) is not None:
+        cfg.lambda_norms = vals
+    if "w0" in known and (vals := numbers("w0")) is not None:
+        cfg.w0 = np.array(vals)
 
-    if cfg.dt <= 0:
-        violations.append(f"dt = {cfg.dt} violates dt > 0")
-    if cfg.t_end <= 0:
-        violations.append(f"t_end = {cfg.t_end} violates t_end > 0")
-    elif cfg.dt > 0 and cfg.t_end < cfg.dt:
-        violations.append(f"t_end = {cfg.t_end} violates t_end >= dt")
+    violations += engine.sim_problems(cfg.space, cfg.t_end, cfg.dt, cfg.scheme, cfg.r0, cfg.w0)
     if cfg.n_paths < 1:
         violations.append(f"n_paths = {cfg.n_paths} violates n_paths >= 1")
     if cfg.workers < 1:
         violations.append(f"workers = {cfg.workers} violates workers >= 1")
     if cfg.block_size < 1:
         violations.append(f"block_size = {cfg.block_size} violates block_size >= 1")
-    if cfg.scheme not in SCHEMES:
-        violations.append(f"scheme = {cfg.scheme!r}; expected one of {SCHEMES}")
     if any(l < 0 for l in cfg.lambda_norms):
         violations.append("lambda_norms must be nonnegative")
-    if cfg.r0 is not None and cfg.r0 <= 0:
-        violations.append(f"r0 = {cfg.r0} violates r0 > 0")
-    if cfg.space is ModelSpace.PROJECTIVE and cfg.r0 is not None and cfg.r0 >= math.pi / 2:
-        violations.append(f"r0 = {cfg.r0} violates r0 < pi/2 for the projective space")
-    if cfg.w0 is not None and cfg.space is ModelSpace.HYPERBOLIC:
-        if float(np.linalg.norm(cfg.w0)) >= 1.0:
-            violations.append("w0 violates the hyperbolic chart bound |w0| < 1")
-    if cfg.r0 is None and cfg.w0 is None:
-        violations.append("one of r0 or w0 is required")
 
     if violations:
         raise ConfigError(violations)
@@ -222,31 +203,31 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
             [t] + list(map(float, w)) + list(map(float, z))
             for t, w, z in zip(path.times, path.w, path.zeta)
         )
-        text = _write_csv(cfg.out, header, rows, cfg.config_hash())
         print(f"coordinate path: t_end={sample.t_end:.6g} |zeta|={float(np.linalg.norm(sample.zeta)):.6g}")
     else:
         path = engine.simulate_radial(sim)
         header = ["time", "r", "clock"]
         rows = ([t, float(r), float(a)] for t, r, a in zip(path.times, path.r, path.clock))
-        text = _write_csv(cfg.out, header, rows, cfg.config_hash())
         print(f"radial path: t_end={path.times[-1]:.6g} r_end={path.r[-1]:.6g} clock={path.clock[-1]:.6g}")
+    text = _write_csv(cfg.out, header, rows, cfg.config_hash())
     if not cfg.out:
         sys.stdout.write(text)
     return 0
 
 
-def _charfn_closed_form(space: ModelSpace, lambda_norm: float, r0: float, t: float) -> float:
-    if space is ModelSpace.FLAT:
-        return specfun.flat_laplace(r0, t, lambda_norm)
-    if space is ModelSpace.PROJECTIVE:
-        # Asymptotic reference: A_t ~ (14/3) t under the stationary law.
-        return math.exp(-7.0 / 3.0 * lambda_norm ** 2 * t)
-    return specfun.oh1_limit_charfn(lambda_norm, r0)
+#: Per space, the closed form that charfn compares with, at (|lambda|, r0, t),
+#: and the long-time limit of the characteristic function, at (|lambda|, r0).
+#: The projective reference is asymptotic: A_t ~ (14/3) t under the stationary law.
+_CLOSED_FORMS = {
+    ModelSpace.FLAT: (lambda ln, r0, t: specfun.flat_laplace(r0, t, ln),
+                      lambda ln, r0: specfun.flat_limit_charfn(ln)),
+    ModelSpace.PROJECTIVE: (lambda ln, r0, t: math.exp(-7.0 / 3.0 * ln ** 2 * t),
+                            lambda ln, r0: specfun.op1_limit_charfn(ln)),
+    ModelSpace.HYPERBOLIC: (lambda ln, r0, t: specfun.oh1_limit_charfn(ln, r0), specfun.oh1_limit_charfn),
+}
 
 
 def _cmd_charfn(cfg: ExperimentConfig) -> int:
-    if cfg.r0 is None:
-        cfg.r0 = float(coord_radius(cfg.space, float(np.linalg.norm(cfg.w0))))
     stop_tol = 1e-13 if cfg.space is ModelSpace.HYPERBOLIC else None
     result = mc.run_radial_mc(
         cfg.space, cfg.r0, cfg.t_end, cfg.dt, cfg.n_paths, seed=cfg.seed,
@@ -255,7 +236,7 @@ def _cmd_charfn(cfg: ExperimentConfig) -> int:
     rows = []
     for ln in cfg.lambda_norms:
         est = stats.mc_charfn(result, ln)
-        closed = _charfn_closed_form(cfg.space, ln, cfg.r0, cfg.t_end)
+        closed = _CLOSED_FORMS[cfg.space][0](ln, cfg.r0, cfg.t_end)
         rows.append([cfg.space.value, ln, cfg.r0, cfg.t_end, cfg.n_paths,
                      est.value, est.std_error, closed])
         print(f"lambda={ln:g}: mc={est.value:.6f} +- {est.std_error:.6f}  closed_form={closed:.6f}")
@@ -266,17 +247,12 @@ def _cmd_charfn(cfg: ExperimentConfig) -> int:
 
 def _cmd_table(cfg: ExperimentConfig, t_values: list[float]) -> int:
     rows = []
-    r0 = cfg.r0 if cfg.r0 is not None else 1.0
     for ln in cfg.lambda_norms:
         if cfg.space is ModelSpace.FLAT:
             for t in t_values:
                 scaled = ln * math.sqrt(6.0 / math.log(t)) if t > 1 else ln
-                rows.append([cfg.space.value, ln, r0, t, specfun.flat_laplace(r0, t, scaled)])
-            rows.append([cfg.space.value, ln, r0, "inf", specfun.flat_limit_charfn(ln)])
-        elif cfg.space is ModelSpace.PROJECTIVE:
-            rows.append([cfg.space.value, ln, r0, "inf", specfun.op1_limit_charfn(ln)])
-        else:
-            rows.append([cfg.space.value, ln, r0, "inf", specfun.oh1_limit_charfn(ln, r0)])
+                rows.append([cfg.space.value, ln, cfg.r0, t, specfun.flat_laplace(cfg.r0, t, scaled)])
+        rows.append([cfg.space.value, ln, cfg.r0, "inf", _CLOSED_FORMS[cfg.space][1](ln, cfg.r0)])
     header = ["space", "lambda_norm", "r0", "t", "closed_form_value"]
     text = _write_csv(cfg.out, header, rows, cfg.config_hash())
     if not cfg.out:
@@ -360,7 +336,7 @@ def _engine_checks() -> list[dict]:
     p2 = engine.simulate_radial(cfg)
     checks.append({"name": "determinism", "passed": bool(np.array_equal(p1.r, p2.r)),
                    "detail": "identical config and seed give identical paths"})
-    p3 = engine.simulate_tilted_radial(cfg, tilt=0.0)
+    p3 = engine.simulate_radial(cfg, tilt=0.0)
     checks.append({"name": "zero_tilt_identity", "passed": bool(np.array_equal(p1.r, p3.r)),
                    "detail": "mu = 0 tilt reproduces the plain path"})
     checks.append({"name": "clock_monotone", "passed": bool(np.all(np.diff(p1.clock) >= 0)),
@@ -455,16 +431,12 @@ def main(argv=None) -> int:
                                      description="Brownian winding functionals on the octonionic model spaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="dump one trajectory to CSV")
-    _add_common(p_sim)
-
-    p_cf = sub.add_parser("charfn", help="Monte Carlo characteristic function vs closed form")
-    _add_common(p_cf)
-
-    p_tab = sub.add_parser("table", help="closed-form reference values as CSV")
-    _add_common(p_tab)
-    p_tab.add_argument("--t-values", default="1e3,1e5,1e8",
-                       help="comma-separated horizons for the flat table")
+    for name, text in (("simulate", "dump one trajectory to CSV"),
+                       ("charfn", "Monte Carlo characteristic function vs closed form"),
+                       ("table", "closed-form reference values as CSV")):
+        _add_common(sub.add_parser(name, help=text))
+    sub.choices["table"].add_argument("--t-values", default="1e3,1e5,1e8",
+                                      help="comma-separated horizons for the flat table")
 
     p_ver = sub.add_parser("verify", help="run a property suite")
     p_ver.add_argument("--suite", choices=[*_SUITES, "all"], default="all")

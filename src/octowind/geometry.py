@@ -1,6 +1,6 @@
 """Coordinate geometry of the three octonionic model spaces.
 
-Each space is described by its radial domain, the drift of its radial
+Each model space has a radial domain, the drift of its radial
 diffusion, the rate of the angular clock, and the coordinate chart linking
 the inhomogeneous coordinate w to the geodesic distance r from the origin:
 
@@ -12,18 +12,25 @@ The coordinate SDE dw = sigma dW + f w dt has sigma = sec^2 r = 1 + |w|^2
 (projective), sech^2 r = 1 - |w|^2 (hyperbolic) or 1 (flat), so its
 coefficients are polynomials in |w|^2.
 
-All functions accept scalars or numpy arrays for r / w_norm.
+All of this is written down once, in the table ``SPACES`` of
+:class:`SpaceSpec`; the functions below and the simulators read it.  The
+public functions accept scalars or numpy arrays for r / w_norm.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
-from .octonion import Octonion
+from .errors import DomainError, SimulationError
+
+#: Radial floor: a radial step landing below it is redone implicitly, and a
+#: start point (or a coordinate path) must stay above it.
+R_MIN = 1e-6
 
 
 class ModelSpace(enum.Enum):
@@ -38,104 +45,159 @@ class ModelSpace(enum.Enum):
         except ValueError:
             raise DomainError(f"unknown model space {name!r}") from None
 
-
-#: Open radial domain (lo, hi) of each space.
-RADIAL_DOMAIN = {
-    ModelSpace.FLAT: (0.0, math.inf),
-    ModelSpace.PROJECTIVE: (0.0, math.pi / 2),
-    ModelSpace.HYPERBOLIC: (0.0, math.inf),
-}
+    @property
+    def spec(self) -> "SpaceSpec":
+        return SPACES[self]
 
 
-def _check_radial(space: ModelSpace, r) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    lo, hi = RADIAL_DOMAIN[space]
-    if np.any(r <= lo) or np.any(r >= hi):
-        raise DomainError(f"radius outside the open domain ({lo}, {hi}) of {space.value}")
-    return r
+@dataclass(frozen=True)
+class SpaceSpec:
+    """One model space: radial law, clock, chart and coordinate SDE.
 
-
-def radial_drift(space: ModelSpace, r):
-    """Drift b(r) of the radial diffusion dr = b(r) dt + dB."""
-    r = _check_radial(space, r)
-    if space is ModelSpace.FLAT:
-        out = 3.5 / r
-    elif space is ModelSpace.PROJECTIVE:
-        out = 7.0 / np.tan(2.0 * r)
-    else:
-        out = 7.0 / np.tanh(2.0 * r)
-    return out if out.ndim else float(out)
-
-
-def clock_rate(space: ModelSpace, r):
-    """Integrand of the angular clock A_t = int_0^t clock_rate(r(s)) ds."""
-    r = _check_radial(space, r)
-    if space is ModelSpace.FLAT:
-        out = 1.0 / (r * r)
-    elif space is ModelSpace.PROJECTIVE:
-        out = 4.0 / np.sin(2.0 * r) ** 2
-    else:
-        out = 4.0 / np.sinh(2.0 * r) ** 2
-    return out if out.ndim else float(out)
-
-
-def _check_norm(space: ModelSpace, w_norm) -> np.ndarray:
-    w_norm = np.asarray(w_norm, dtype=float)
-    if np.any(w_norm < 0):
-        raise DomainError("coordinate norm must be nonnegative")
-    if space is ModelSpace.HYPERBOLIC and np.any(w_norm >= 1.0):
-        raise DomainError("hyperbolic chart requires |w| < 1")
-    return w_norm
-
-
-def coord_radius(space: ModelSpace, w_norm):
-    """Geodesic distance r from the origin for a coordinate of norm |w|."""
-    w_norm = _check_norm(space, w_norm)
-    if space is ModelSpace.FLAT:
-        out = w_norm.copy()
-    elif space is ModelSpace.PROJECTIVE:
-        out = np.arctan(w_norm)
-    else:
-        out = np.arctanh(w_norm)
-    return out if out.ndim else float(out)
-
-
-def coord_norm(space: ModelSpace, r):
-    """Inverse of :func:`coord_radius`: the coordinate norm at distance r."""
-    r = _check_radial(space, r)
-    if space is ModelSpace.FLAT:
-        out = r.copy()
-    elif space is ModelSpace.PROJECTIVE:
-        out = np.tan(r)
-    else:
-        out = np.tanh(r)
-    return out if out.ndim else float(out)
-
-
-# Per space (s, c): sigma = 1 + s |w|^2 and drift factor c k sigma, because
-# sec^2(arctan u) = 1 + u^2 and sech^2(artanh u) = 1 - u^2.
-_CHART_SIGNS = {
-    ModelSpace.FLAT: (0.0, 0.0),
-    ModelSpace.PROJECTIVE: (1.0, -1.0),
-    ModelSpace.HYPERBOLIC: (-1.0, 1.0),
-}
-
-
-def coord_coefficients(space: ModelSpace, norm_sq, stratonovich: bool):
-    """Unchecked (sigma, drift_factor) of the coordinate SDE at |w|^2 = norm_sq.
-
-    sigma is 1 (flat), 1 + |w|^2 (projective) or 1 - |w|^2 (hyperbolic); the
-    drift factor is k = 6 (Ito) or 7 (Stratonovich) times -sigma, +sigma or
-    0.  The path simulators call this on every step; the public functions
-    below validate first.
+    The radial domain is (0, r_hi) and the chart covers |w| in [0, norm_hi).
+    ``radial(tilt)`` returns the drift b(r) under a tilt (None for the
+    untilted law) together with the solver of the implicit radial step
+    x - b(x) dt = target.  ``radius`` and ``norm`` are the chart |w| -> r and
+    its inverse; they do not validate.  The coordinate SDE has sigma =
+    1 + sigma_sign |w|^2 and drift factor drift_sign * k * sigma, k = 6 (Ito)
+    or 7 (Stratonovich).  Coordinate stepping stops at ``chart_ceiling``.
     """
-    s, c = _CHART_SIGNS[space]
-    sig = 1.0 + s * norm_sq
-    return sig, ((7.0 if stratonovich else 6.0) * c) * sig
+
+    r_hi: float
+    norm_hi: float
+    chart_ceiling: float
+    sigma_sign: float
+    drift_sign: float
+    radial: Callable
+    clock: Callable
+    radius: Callable
+    norm: Callable
+
+    def coefficients(self, norm_sq, stratonovich: bool):
+        """Unchecked (sigma, drift_factor) of the coordinate SDE at |w|^2 = norm_sq."""
+        sig = 1.0 + self.sigma_sign * norm_sq
+        return sig, ((7.0 if stratonovich else 6.0) * self.drift_sign) * sig
+
+
+def _bisect(drift, target, dt, hi):
+    """Root of x - drift(x) dt = target in (1e-14, hi); the drifts decrease
+    strictly in x, so the root is unique."""
+    lo = np.full_like(target, 1e-14)
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        neg = mid - drift(mid) * dt - target < 0
+        lo = np.where(neg, mid, lo)
+        hi = np.where(neg, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _flat_radial(tilt):
+    mu = 0.0 if tilt is None else float(tilt)
+    k = (7.0 + 2.0 * mu) / 2.0
+    if k <= 0:
+        raise DomainError("flat tilt must keep the Bessel drift positive (mu > -3.5)")
+    return (lambda r: k / r), (lambda target, dt: 0.5 * (target + np.sqrt(target * target + 4.0 * k * dt)))
+
+
+def _projective_radial(tilt):
+    if tilt is not None:
+        raise DomainError("tilted simulation is not defined for the projective space")
+
+    def drift(r):
+        return 7.0 / np.tan(2.0 * r)
+    return drift, lambda target, dt: _bisect(drift, target, dt, np.full_like(target, math.pi / 2 - 1e-14))
+
+
+def _hyperbolic_radial(tilt):
+    # Tilt (a_hat, b_hat); untilted, 7 coth(2r) = 3.5 (coth r + tanh r).
+    a_hat, b_hat = (0.0, 0.0) if tilt is None else tilt
+    p, q = float(a_hat) + 3.5, float(b_hat) + 3.5
+
+    def drift(r):
+        return p / np.tanh(r) + q * np.tanh(r)
+
+    def root(target, dt):
+        hi = np.maximum(np.abs(target) + 1.0, 2.0)
+        for _ in range(200):
+            g = hi - drift(hi) * dt - target
+            if np.all(g > 0):
+                return _bisect(drift, target, dt, hi)
+            hi = np.where(g > 0, hi, 2.0 * hi)
+        raise SimulationError("implicit radial step failed to bracket a root")
+    return drift, root
+
+
+# The projective chart degenerates near pi/2.  The hyperbolic one only loses
+# floating-point resolution as |w| -> 1 (its radius is clamped there rather
+# than infinite), and the flat one never does, but at r = 15 the clock rate
+# is ~1e-12 and the radial route is cheaper.
+SPACES = {
+    ModelSpace.FLAT: SpaceSpec(
+        r_hi=math.inf, norm_hi=math.inf, chart_ceiling=15.0, sigma_sign=0.0, drift_sign=0.0,
+        radial=_flat_radial, clock=lambda r: 1.0 / (r * r), radius=np.asarray, norm=np.asarray),
+    ModelSpace.PROJECTIVE: SpaceSpec(
+        r_hi=math.pi / 2, norm_hi=math.inf, chart_ceiling=1.45, sigma_sign=1.0, drift_sign=-1.0,
+        radial=_projective_radial, clock=lambda r: 4.0 / np.sin(2.0 * r) ** 2,
+        radius=np.arctan, norm=np.tan),
+    ModelSpace.HYPERBOLIC: SpaceSpec(
+        r_hi=math.inf, norm_hi=1.0, chart_ceiling=15.0, sigma_sign=-1.0, drift_sign=1.0,
+        radial=_hyperbolic_radial, clock=lambda r: 4.0 / np.sinh(2.0 * r) ** 2,
+        radius=lambda u: np.arctanh(np.minimum(u, 1.0 - 1e-15)), norm=np.tanh),
+}
+
+
+def start_problems(space: ModelSpace, r0=None, w0=None) -> list[str]:
+    """Why r0 (radial route) or w0 (coordinate route) cannot start a path on
+    ``space``; either may be None.  r0 must lie in (R_MIN, r_hi - R_MIN), the
+    range the radial step keeps, and w0 at a radius in (R_MIN, chart_ceiling)."""
+    spec = space.spec
+    problems = []
+    if r0 is not None and not (R_MIN < r0 < spec.r_hi - R_MIN):
+        problems.append(f"r0 = {r0} outside ({R_MIN}, {spec.r_hi - R_MIN:.6g}) for {space.value}")
+    if w0 is not None:
+        r = float(spec.radius(np.linalg.norm(w0)))
+        if not (R_MIN < r < spec.chart_ceiling):
+            problems.append(f"w0 at radius {r:.4g} outside the chart bound ({R_MIN}, "
+                            f"{spec.chart_ceiling}) of {space.value}")
+    return problems
 
 
 def _scalar(x):
     return x if np.ndim(x) else float(x)
+
+
+def _check_radial(space: ModelSpace, r) -> np.ndarray:
+    r = np.array(r, dtype=float)
+    if np.any(r <= 0.0) or np.any(r >= space.spec.r_hi):
+        raise DomainError(f"radius outside the open domain (0.0, {space.spec.r_hi}) of {space.value}")
+    return r
+
+
+def _check_norm(space: ModelSpace, w_norm) -> np.ndarray:
+    w_norm = np.array(w_norm, dtype=float)
+    if np.any(w_norm < 0) or np.any(w_norm >= space.spec.norm_hi):
+        raise DomainError(f"coordinate norm outside [0.0, {space.spec.norm_hi}) of the {space.value} chart")
+    return w_norm
+
+
+def radial_drift(space: ModelSpace, r):
+    """Drift b(r) of the radial diffusion dr = b(r) dt + dB."""
+    return _scalar(space.spec.radial(None)[0](_check_radial(space, r)))
+
+
+def clock_rate(space: ModelSpace, r):
+    """Integrand of the angular clock A_t = int_0^t clock_rate(r(s)) ds."""
+    return _scalar(space.spec.clock(_check_radial(space, r)))
+
+
+def coord_radius(space: ModelSpace, w_norm):
+    """Geodesic distance r from the origin for a coordinate of norm |w|."""
+    return _scalar(space.spec.radius(_check_norm(space, w_norm)))
+
+
+def coord_norm(space: ModelSpace, r):
+    """Inverse of :func:`coord_radius`: the coordinate norm at distance r."""
+    return _scalar(space.spec.norm(_check_radial(space, r)))
 
 
 def sde_coefficients(space: ModelSpace, w_norm):
@@ -150,7 +212,7 @@ def sde_coefficients(space: ModelSpace, w_norm):
     evaluated at r = coord_radius(space, |w|).
     """
     w_norm = _check_norm(space, w_norm)
-    sig, factor = coord_coefficients(space, w_norm * w_norm, stratonovich=False)
+    sig, factor = space.spec.coefficients(w_norm * w_norm, stratonovich=False)
     return _scalar(factor), _scalar(sig)
 
 
@@ -163,11 +225,4 @@ def stratonovich_drift_factor(space: ModelSpace, w_norm):
     and 7 (1 - |w|^2).
     """
     w_norm = _check_norm(space, w_norm)
-    return _scalar(coord_coefficients(space, w_norm * w_norm, stratonovich=True)[1])
-
-
-def coordinate_sde_coeffs(space: ModelSpace, w: Octonion) -> tuple[Octonion, float]:
-    """Drift octonion and scalar diffusion of the coordinate SDE at w."""
-    wn = float(np.linalg.norm(w.c))
-    factor, sig = sde_coefficients(space, wn)
-    return Octonion(w.c * factor), float(sig)
+    return _scalar(space.spec.coefficients(w_norm * w_norm, stratonovich=True)[1])

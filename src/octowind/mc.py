@@ -42,16 +42,31 @@ def default_workers() -> int:
     return 1
 
 
-def _block_sizes(n_paths: int, block_size: int) -> list[int]:
+def _block(job):
+    kernel, args, kwargs, seed, i, n, want_winding = job
+    rng = make_rng(seed, (i,))
+    fields = kernel(*args, n, rng, **kwargs)
+    return (*fields, sample_windings_timechange(fields[1], rng)) if want_winding else fields
+
+
+def _run_blocks(kernel, args, n_paths, seed, block_size, workers, want_winding=False, **kwargs):
+    """Run ``kernel(*args, n, rng, **kwargs)`` on every block of the n_paths,
+    block i on the stream (seed, i), and concatenate each result field in
+    block order; scalar fields come back as one array of per-block values.
+
+    With ``want_winding`` the block also draws time-change windings from its
+    second field, the clock, on the same stream; they come last.
+    """
+    workers = default_workers() if workers is None else workers
     full, rem = divmod(n_paths, block_size)
-    return [block_size] * full + ([rem] if rem else [])
-
-
-def _run_blocks(task, payloads, workers: int):
-    if workers <= 1 or len(payloads) <= 1:
-        return [task(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, payloads))
+    sizes = [block_size] * full + ([rem] if rem else [])
+    jobs = [(kernel, args, kwargs, seed, i, n, want_winding) for i, n in enumerate(sizes)]
+    if workers <= 1 or len(jobs) <= 1:
+        parts = [_block(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_block, jobs))
+    return [np.concatenate(field) if np.ndim(field[0]) else np.array(field) for field in zip(*parts)]
 
 
 @dataclass(frozen=True)
@@ -64,16 +79,6 @@ class RadialMcResult:
     zeta: Optional[np.ndarray]  # (n, 7) time-change windings, if requested
 
 
-def _radial_block(payload) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    (space, r0, t_end, dt, tilt, seed, block, n, r_min, stop_rate_tol, want_winding) = payload
-    rng = make_rng(seed, (block,))
-    r_end, clock, _ = simulate_radial_batch(
-        space, r0, t_end, dt, n, rng, tilt=tilt, r_min=r_min, stop_rate_tol=stop_rate_tol
-    )
-    zeta = sample_windings_timechange(clock, rng) if want_winding else None
-    return r_end, clock, zeta
-
-
 def run_radial_mc(
     space: ModelSpace,
     r0: float,
@@ -83,27 +88,15 @@ def run_radial_mc(
     seed: int = DEFAULT_SEED,
     tilt=None,
     want_winding: bool = False,
-    r_min: float = 1e-6,
     stop_rate_tol: Optional[float] = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
     workers: Optional[int] = None,
 ) -> RadialMcResult:
     """Radial endpoints (and optional time-change windings) over n_paths."""
-    workers = default_workers() if workers is None else workers
-    payloads = [
-        (space, r0, t_end, dt, tilt, seed, i, n, r_min, stop_rate_tol, want_winding)
-        for i, n in enumerate(_block_sizes(n_paths, block_size))
-    ]
-    parts = _run_blocks(_radial_block, payloads, workers)
-    zeta = np.concatenate([p[2] for p in parts]) if want_winding else None
-    return RadialMcResult(
-        space=space,
-        t_end=t_end,
-        seed=seed,
-        r_end=np.concatenate([p[0] for p in parts]),
-        clock_end=np.concatenate([p[1] for p in parts]),
-        zeta=zeta,
-    )
+    r_end, clock, _, *zeta = _run_blocks(simulate_radial_batch, (space, r0, t_end, dt), n_paths, seed,
+                                         block_size, workers, want_winding, tilt=tilt,
+                                         stop_rate_tol=stop_rate_tol)
+    return RadialMcResult(space, t_end, seed, r_end, clock, zeta[0] if zeta else None)
 
 
 @dataclass(frozen=True)
@@ -115,14 +108,6 @@ class CoordinateMcResult:
     n_switched: int  # paths finished via the skew-product fallback
 
 
-def _coordinate_block(payload):
-    (space, w0, t_end, dt, scheme, seed, block, n, r_min, r_max) = payload
-    rng = make_rng(seed, (block,))
-    return simulate_coordinate_batch(
-        space, w0, t_end, dt, n, rng, scheme=scheme, r_min=r_min, r_max=r_max
-    )
-
-
 def run_coordinate_mc(
     space: ModelSpace,
     w0: np.ndarray,
@@ -131,34 +116,13 @@ def run_coordinate_mc(
     n_paths: int,
     seed: int = DEFAULT_SEED,
     scheme: str = STRATONOVICH_HEUN,
-    r_min: float = 1e-6,
-    r_max: float = 1.45,
     block_size: int = DEFAULT_BLOCK_SIZE,
     workers: Optional[int] = None,
 ) -> CoordinateMcResult:
     """Line-integral windings over n_paths coordinate trajectories."""
-    workers = default_workers() if workers is None else workers
-    w0 = np.asarray(w0, dtype=float)
-    payloads = [
-        (space, w0, t_end, dt, scheme, seed, i, n, r_min, r_max)
-        for i, n in enumerate(_block_sizes(n_paths, block_size))
-    ]
-    parts = _run_blocks(_coordinate_block, payloads, workers)
-    return CoordinateMcResult(
-        space=space,
-        t_end=t_end,
-        seed=seed,
-        zeta=np.concatenate([p[0] for p in parts]),
-        n_switched=sum(p[1] for p in parts),
-    )
-
-
-def _flat_exact_block(payload):
-    (rho, times, seed, block, n, want_winding) = payload
-    rng = make_rng(seed, (block,))
-    r_end, clock = simulate_flat_exact_batch(rho, times, n, rng)
-    zeta = sample_windings_timechange(clock, rng) if want_winding else None
-    return r_end, clock, zeta
+    zeta, switched = _run_blocks(simulate_coordinate_batch, (space, np.asarray(w0, dtype=float), t_end, dt),
+                                 n_paths, seed, block_size, workers, scheme=scheme)
+    return CoordinateMcResult(space, t_end, seed, zeta, int(switched.sum()))
 
 
 def run_flat_exact_mc(
@@ -166,26 +130,11 @@ def run_flat_exact_mc(
     t_end: float,
     n_paths: int,
     seed: int = DEFAULT_SEED,
-    t_init: float = 1e-4,
-    per_decade: int = 128,
     want_winding: bool = False,
     block_size: int = DEFAULT_BLOCK_SIZE,
     workers: Optional[int] = None,
 ) -> RadialMcResult:
     """Flat radial endpoints on a logarithmic grid with exact transitions."""
-    workers = default_workers() if workers is None else workers
-    times = log_time_grid(t_end, t_init=t_init, per_decade=per_decade)
-    payloads = [
-        (rho, times, seed, i, n, want_winding)
-        for i, n in enumerate(_block_sizes(n_paths, block_size))
-    ]
-    parts = _run_blocks(_flat_exact_block, payloads, workers)
-    zeta = np.concatenate([p[2] for p in parts]) if want_winding else None
-    return RadialMcResult(
-        space=ModelSpace.FLAT,
-        t_end=t_end,
-        seed=seed,
-        r_end=np.concatenate([p[0] for p in parts]),
-        clock_end=np.concatenate([p[1] for p in parts]),
-        zeta=zeta,
-    )
+    r_end, clock, *zeta = _run_blocks(simulate_flat_exact_batch, (rho, log_time_grid(t_end)), n_paths, seed,
+                                      block_size, workers, want_winding)
+    return RadialMcResult(ModelSpace.FLAT, t_end, seed, r_end, clock, zeta[0] if zeta else None)

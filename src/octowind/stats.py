@@ -156,28 +156,9 @@ def ks_vs_cdf(values: np.ndarray, cdf) -> float:
 # ---------------------------------------------------------------------------
 # Projective stationary law
 
-def _sin7_norm() -> float:
-    value, _ = integrate.quad(lambda u: math.sin(2 * u) ** 7, 0.0, math.pi / 2,
-                              epsabs=1e-14, epsrel=1e-13)
-    return value
-
-
-def projective_stationary_cdf(r) -> np.ndarray:
-    """CDF of the stationary radial density proportional to sin^7(2r)."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    norm = _sin7_norm()
-    out = np.empty_like(r)
-    for i, ri in enumerate(r):
-        ri = min(max(ri, 0.0), math.pi / 2)
-        val, _ = integrate.quad(lambda u: math.sin(2 * u) ** 7, 0.0, ri,
-                                epsabs=1e-14, epsrel=1e-13, limit=200)
-        out[i] = val / norm
-    return out
-
-
 def stationary_mean_clock_rate() -> float:
     """Mean of the clock rate under the projective stationary law (quadrature)."""
-    norm = _sin7_norm()
+    norm, _ = integrate.quad(lambda u: math.sin(2 * u) ** 7, 0.0, math.pi / 2, epsabs=1e-14, epsrel=1e-13)
     val, _ = integrate.quad(lambda u: 4.0 / math.sin(2 * u) ** 2 * math.sin(2 * u) ** 7,
                             0.0, math.pi / 2, epsabs=1e-14, epsrel=1e-13)
     return val / norm

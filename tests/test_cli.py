@@ -155,6 +155,41 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config error" in err and "dt" in err
 
 
+def test_projective_radial_start_beyond_the_chart_ceiling_runs(tmp_path, capsys):
+    # 1.5 lies past the coordinate chart ceiling 1.45 but inside the radial
+    # domain, which is all a radial path needs.
+    argv = ["--space", "projective", "--r0", "1.5", "--t", "0.1", "--paths", "50"]
+    assert _run(["simulate", *argv, "--out", str(tmp_path / "s.csv")]) == 0
+    assert _run(["charfn", *argv, "--out", str(tmp_path / "c.csv")]) == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "charfn", "table"])
+@pytest.mark.parametrize("start", [
+    ["--space", "projective", "--r0", "1.570796"],  # within R_MIN of pi/2
+    ["--space", "flat", "--r0", "0"],
+    ["--space", "hyperbolic", "--w0", "1.0,0,0,0,0,0,0,0.5"],
+    ["--space", "flat", "--w0", "20,0,0,0,0,0,0,0"],
+])
+def test_invalid_start_point_exits_2_from_every_subcommand(tmp_path, capsys, command, start):
+    argv = [command, *start, "--t", "0.1", "--paths", "50", "--out", str(tmp_path / "o.csv")]
+    assert _run(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_workers_default_from_environment(tmp_path, monkeypatch, capsys):
+    argv = ["charfn", "--space", "flat", "--t", "0.05", "--paths", "300", "--block-size", "100",
+            "--r0", "1.0", "--seed", "6"]
+    monkeypatch.delenv("OCTOWIND_WORKERS", raising=False)
+    assert _run(argv + ["--workers", "2", "--out", str(tmp_path / "flag.csv")]) == 0
+    monkeypatch.setenv("OCTOWIND_WORKERS", "2")
+    assert _run(argv + ["--out", str(tmp_path / "env.csv")]) == 0
+    assert (tmp_path / "env.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+    monkeypatch.setenv("OCTOWIND_WORKERS", "two")
+    assert _run(argv + ["--out", str(tmp_path / "bad.csv")]) == 2
+    assert "OCTOWIND_WORKERS" in capsys.readouterr().err
+
+
 def test_verify_all_passes(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     assert _run(["verify", "--suite", "all", "--out", str(report_path)]) == 0

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from octowind import engine
 from octowind.engine import (
@@ -11,19 +13,16 @@ from octowind.engine import (
     STRATONOVICH_HEUN,
     RadialPath,
     SimConfig,
-    accumulate_clock,
     log_time_grid,
     make_rng,
-    sample_winding_timechange,
     simulate_coordinate,
     simulate_coordinate_batch,
     simulate_flat_exact_batch,
     simulate_radial,
     simulate_radial_batch,
-    simulate_tilted_radial,
 )
 from octowind.errors import DomainError, SimulationError
-from octowind.geometry import ModelSpace, clock_rate
+from octowind.geometry import R_MIN, ModelSpace, clock_rate
 from octowind.octonion import conj_array, mul_array
 
 
@@ -60,12 +59,25 @@ def test_simconfig_validation():
     with pytest.raises(DomainError):
         SimConfig(space=ModelSpace.FLAT, t_end=1.0, dt=1e-3)
     with pytest.raises(DomainError):
-        SimConfig(space=ModelSpace.PROJECTIVE, t_end=1.0, dt=1e-3, r0=1.5)
+        SimConfig(space=ModelSpace.PROJECTIVE, t_end=1.0, dt=1e-3, r0=math.pi / 2 - R_MIN)
+    with pytest.raises(DomainError):
+        SimConfig(space=ModelSpace.FLAT, t_end=1.0, dt=1e-3, r0=R_MIN)
+    with pytest.raises(DomainError):
+        SimConfig(space=ModelSpace.FLAT, t_end=1.0, dt=1e-3, w0=np.full(8, 6.0))  # radius 17 > 15
     with pytest.raises(DomainError):
         SimConfig(space=ModelSpace.FLAT, t_end=1.0, dt=1e-3, w0=np.ones(3))
     with pytest.raises(DomainError):
         SimConfig(space=ModelSpace.HYPERBOLIC, t_end=1.0, dt=1e-3,
                   w0=np.array([1.0, 0, 0, 0, 0, 0, 0, 0.5]))
+
+
+def test_radial_start_is_checked_against_the_radial_domain_only():
+    # r0 = 1.5 lies beyond the projective chart ceiling 1.45 but inside the
+    # radial domain (0, pi/2): a radial run may start there.
+    cfg = SimConfig(space=ModelSpace.PROJECTIVE, t_end=0.01, dt=1e-3, r0=1.5)
+    assert np.all(simulate_radial(cfg).r < math.pi / 2)
+    with pytest.raises(DomainError):
+        simulate_radial_batch(ModelSpace.PROJECTIVE, math.pi / 2, 0.01, 1e-3, 5, make_rng(1))
 
 
 def test_radial_path_requires_monotone_clock():
@@ -99,14 +111,14 @@ def test_zero_tilt_reproduces_untilted_path(space):
     cfg = SimConfig(space=space, t_end=1.0, dt=1e-3, r0=1.0, seed=21)
     tilt = 0.0 if space is ModelSpace.FLAT else (0.0, 0.0)
     p = simulate_radial(cfg)
-    q = simulate_tilted_radial(cfg, tilt=tilt)
+    q = simulate_radial(cfg, tilt=tilt)
     assert np.allclose(p.r, q.r, rtol=1e-12)
 
 
 def test_flat_tilt_bound():
     cfg = SimConfig(space=ModelSpace.FLAT, t_end=0.1, dt=1e-2, r0=1.0)
     with pytest.raises(DomainError):
-        simulate_tilted_radial(cfg, tilt=-3.6)
+        simulate_radial(cfg, tilt=-3.6)
 
 
 def test_implicit_guard_keeps_paths_in_domain():
@@ -120,21 +132,29 @@ def test_implicit_guard_keeps_paths_in_domain():
     assert np.all((r > 0) & (r < math.pi / 2))
 
 
-def test_implicit_step_solves_the_backward_equation():
-    from octowind.engine import _drift_fn, _implicit_step
+# Tilts that keep each drift positive near 0 and strictly decreasing.
+_TILTS = {
+    ModelSpace.FLAT: st.one_of(st.none(), st.floats(-3.4, 10.0)),
+    ModelSpace.PROJECTIVE: st.none(),
+    ModelSpace.HYPERBOLIC: st.one_of(st.none(), st.tuples(st.floats(0.0, 10.0), st.floats(-20.0, 0.0))),
+}
 
-    for space, tilt in [
-        (ModelSpace.FLAT, None),
-        (ModelSpace.FLAT, 1.0),
-        (ModelSpace.PROJECTIVE, None),
-        (ModelSpace.HYPERBOLIC, None),
-        (ModelSpace.HYPERBOLIC, (2.0, -8.0)),
-    ]:
-        drift = _drift_fn(space, tilt)
-        target = np.array([-0.3, 0.01, 0.4, 1.2])
-        dt = 1e-2
-        x = _implicit_step(space, drift, target, dt, tilt)
-        assert np.allclose(x - drift(x) * dt, target, atol=1e-9)
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(list(_TILTS)).flatmap(lambda s: st.tuples(st.just(s), _TILTS[s])),
+       st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5), st.floats(1e-4, 0.1))
+@example((ModelSpace.FLAT, None), [-0.3, 0.01, 0.4, 1.2], 1e-2)
+@example((ModelSpace.FLAT, 1.0), [-0.3, 0.01, 0.4, 1.2], 1e-2)
+@example((ModelSpace.PROJECTIVE, None), [-0.3, 0.01, 0.4, 1.2], 1e-2)
+@example((ModelSpace.HYPERBOLIC, None), [-0.3, 0.01, 0.4, 1.2], 1e-2)
+@example((ModelSpace.HYPERBOLIC, (2.0, -8.0)), [-0.3, 0.01, 0.4, 1.2], 1e-2)
+def test_implicit_step_solves_the_backward_equation(space_tilt, target, dt):
+    space, tilt = space_tilt
+    drift, implicit_root = space.spec.radial(tilt)
+    target = np.array(target)
+    x = implicit_root(target, dt)
+    assert np.all((x > 0) & (x < space.spec.r_hi))
+    assert np.allclose(x - drift(x) * dt, target, rtol=0.0, atol=1e-9)
 
 
 def test_flat_mean_squared_radius():
@@ -152,21 +172,15 @@ def test_flat_mean_squared_radius():
     assert abs(m - 11.0) < 4 * se + 0.05
 
 
-def test_accumulate_clock_constant_path():
-    times = np.linspace(0.0, 3.0, 7)
-    path = RadialPath(ModelSpace.FLAT, times, np.full(7, 2.0), 0.25 * times)
-    assert accumulate_clock(path) == pytest.approx(0.25 * 3.0, rel=1e-12)
-
-
-def test_sample_winding_timechange():
-    times = np.linspace(0.0, 2.0, 5)
-    path = RadialPath(ModelSpace.FLAT, times, np.full(5, 1.0), times.copy())
-    s1 = sample_winding_timechange(path, make_rng(9))
-    s2 = sample_winding_timechange(path, make_rng(9))
-    assert np.array_equal(s1.zeta, s2.zeta)
-    assert s1.clock_end == pytest.approx(2.0)
-    assert s1.provenance == "time_change"
-    assert s1.zeta.shape == (7,)
+@pytest.mark.parametrize("space,tilt", [(ModelSpace.FLAT, 1.0), (ModelSpace.PROJECTIVE, None),
+                                        (ModelSpace.HYPERBOLIC, (2.0, -8.0))])
+def test_single_radial_path_is_a_batch_of_one(space, tilt):
+    # The guard fires at this dt near the origin, so the implicit root is on the path too.
+    cfg = SimConfig(space=space, t_end=0.5, dt=2e-2, r0=0.05, seed=13)
+    path = simulate_radial(cfg, tilt=tilt)
+    r, clock, t = simulate_radial_batch(space, cfg.r0, cfg.t_end, cfg.dt, 1, make_rng(13), tilt=tilt)
+    assert path.r[0] == cfg.r0 and path.clock[0] == 0.0
+    assert (path.r[-1], path.clock[-1], path.times[-1]) == (r[0], clock[0], t)
 
 
 def test_radial_batch_early_stop():
@@ -313,9 +327,9 @@ def _reference_radius(space, wn):
 
 
 def _reference_coordinate_batch(space, w0, t_end, dt, n_paths, rng, scheme,
-                                r_min=1e-6, r_max=1.45, max_radial_step=0.5):
-    ceiling = engine._chart_ceiling(space, r_max)
-    drift = engine._drift_fn(space, None)
+                                r_min=1e-6, max_radial_step=0.5):
+    ceiling = space.spec.chart_ceiling
+    drift, implicit_root = space.spec.radial(None)
     lo_guard = r_min
     hi_guard = (math.pi / 2 - r_min) if space is ModelSpace.PROJECTIVE else math.inf
     w = np.tile(w0, (n_paths, 1))
@@ -355,8 +369,8 @@ def _reference_coordinate_batch(space, w0, t_end, dt, n_paths, rng, scheme,
                 rate_sw[idx[bad]] = clock_rate(space, r_here)
         sw = switched.copy()
         if np.any(sw):
-            r_next = engine._radial_step(space, drift, None, r_sw[sw], noise[sw, 0], h,
-                                         lo_guard, hi_guard, t_now)
+            r_next = engine._radial_step(drift, implicit_root, r_sw[sw], noise[sw, 0], h,
+                                         hi_guard, t_now)
             new_rate = clock_rate(space, r_next)
             clock_sw[sw] += 0.5 * h * (rate_sw[sw] + new_rate)
             r_sw[sw] = r_next

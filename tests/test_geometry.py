@@ -4,16 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from octowind import Octonion
 from octowind.errors import DomainError
 from octowind.geometry import (
-    RADIAL_DOMAIN,
     ModelSpace,
     clock_rate,
     coord_norm,
     coord_radius,
-    coordinate_sde_coeffs,
     radial_drift,
     sde_coefficients,
     stratonovich_drift_factor,
@@ -61,7 +60,7 @@ def test_hyperbolic_clock_identity():
 
 @pytest.mark.parametrize("space", SPACES)
 def test_domain_checks(space):
-    lo, hi = RADIAL_DOMAIN[space]
+    lo, hi = 0.0, space.spec.r_hi
     with pytest.raises(DomainError):
         radial_drift(space, lo)
     with pytest.raises(DomainError):
@@ -78,6 +77,23 @@ def test_chart_round_trip(space):
     # scalar in, scalar out
     assert isinstance(coord_norm(space, 0.5), float)
     assert isinstance(coord_radius(space, 0.5), float)
+
+
+# Chart norms well inside each chart, where the round trip is well conditioned.
+_NORMS = {
+    ModelSpace.FLAT: st.floats(1e-6, 1e6),
+    ModelSpace.PROJECTIVE: st.floats(1e-6, 1e3),
+    ModelSpace.HYPERBOLIC: st.floats(1e-6, 1.0 - 1e-9),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(list(_NORMS)).flatmap(lambda s: st.tuples(st.just(s), _NORMS[s])))
+def test_chart_inverts_its_inverse(space_norm):
+    space, u = space_norm
+    r = coord_radius(space, u)
+    assert 0.0 < r < space.spec.r_hi
+    assert coord_norm(space, r) == pytest.approx(u, rel=1e-12)
 
 
 def test_chart_values():
@@ -129,15 +145,6 @@ def test_radial_drift_consistent_with_coordinate_sde(space):
         drift_r = g1 * drift_u + 0.5 * g2 * sig**2
         assert g1 * sig == pytest.approx(1.0, abs=1e-7)
         assert drift_r == pytest.approx(radial_drift(space, r), rel=1e-4)
-
-
-def test_coordinate_sde_coeffs_octonion():
-    w = Octonion(np.array([0.3, 0.1, 0.0, 0.0, -0.2, 0.0, 0.0, 0.0]))
-    wn = float(np.linalg.norm(w.c))
-    drift, sig = coordinate_sde_coeffs(ModelSpace.HYPERBOLIC, w)
-    factor, sig_ref = sde_coefficients(ModelSpace.HYPERBOLIC, wn)
-    assert sig == pytest.approx(sig_ref)
-    assert np.allclose(drift.c, factor * w.c)
 
 
 def test_array_shapes():

@@ -198,3 +198,29 @@ def test_eta_matches_printed_coordinates(x, v):
     scale = np.linalg.norm(v, axis=1) / np.linalg.norm(x, axis=1)
     dev = np.max(np.abs(winding_form_array(x, v) - _printed_winding(x, v)), axis=1, initial=0.0)
     assert np.all(dev <= 1e-12 * scale)
+
+
+# ---------------------------------------------------------------------------
+# Properties of the batched product
+
+def _norms(*xs):
+    return math.prod(float(np.linalg.norm(x)) for x in xs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_components, _components)
+def test_mul_array_is_alternative(x, y):
+    # x(xy) = (xx)y and (yx)x = y(xx); every term is bounded by |x|^2 |y|.
+    tol = 1e-12 * _norms(x, x, y)
+    assert np.max(np.abs(mul_array(x, mul_array(x, y)) - mul_array(mul_array(x, x), y))) <= tol
+    assert np.max(np.abs(mul_array(mul_array(y, x), x) - mul_array(y, mul_array(x, x)))) <= tol
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_components, _components, _components)
+def test_mul_array_satisfies_the_moufang_identities(x, y, z):
+    tol = 1e-12 * _norms(x, y, z, z)
+    m = mul_array
+    assert np.max(np.abs(m(z, m(x, m(z, y))) - m(m(m(z, x), z), y))) <= tol
+    assert np.max(np.abs(m(x, m(z, m(y, z))) - m(m(m(x, z), y), z))) <= tol
+    assert np.max(np.abs(m(m(z, x), m(y, z)) - m(m(z, m(x, y)), z))) <= tol

@@ -34,8 +34,11 @@ def test_bessel_i_edge_cases():
         specfun.bessel_i(-1.0, 1.0)
     with pytest.raises(DomainError):
         specfun.bessel_i(1.0, -1.0)
+    # Large arguments are fine up to the double range; beyond it the value
+    # overflows and must raise rather than return inf.
+    assert specfun.bessel_i(3.0, 701.0) == pytest.approx(float(mpmath.besseli(3, 701)), rel=1e-12)
     with pytest.raises(QuadratureError):
-        specfun.bessel_i(3.0, 701.0)
+        specfun.bessel_i(3.0, 720.0)
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +98,19 @@ def test_flat_laplace_short_time_expansion():
     assert val == pytest.approx(math.exp(-0.5 * 0.2 / 9.0), rel=2e-3)
 
 
-def test_flat_laplace_extreme_regime_raises_cleanly():
-    # Very small t with rho away from 0 pushes the Bessel argument past the
-    # double-precision series range; the failure must be a QuadratureError,
-    # not a wrong number.
-    with pytest.raises(QuadratureError):
-        specfun.flat_laplace(2.0, 1e-3, 1.0)
+def test_flat_laplace_extreme_regime_matches_mpmath():
+    # Very small t with rho away from 0: the Bessel argument c r reaches
+    # ~4000 and exp(-rho^2 / 2t) underflows, so only the exponentially
+    # scaled integrand stays in double range.  mpmath needs no scaling.
+    rho, t, ln = 2.0, 1e-3, 1.0
+    with mpmath.workdps(30):
+        nu = mpmath.sqrt(9 + ln * ln)
+        c = rho / mpmath.sqrt(t)
+        integral = mpmath.quad(
+            lambda r: r**4 * mpmath.exp(-0.5 * r * r) * mpmath.besseli(nu, c * r), [0, c, c + 25]
+        )
+        ref = float(mpmath.exp(-0.5 * c * c) * mpmath.mpf(t) ** 1.5 / rho**3 * integral)
+    assert specfun.flat_laplace(rho, t, ln) == pytest.approx(ref, rel=1e-11)
 
 
 def test_flat_laplace_accepts_lambda_vector():

@@ -106,13 +106,6 @@ def test_ks_vs_cdf_matches_scipy(rng):
     assert ours == pytest.approx(ref, abs=1e-12)
 
 
-def test_projective_stationary_cdf_endpoints():
-    cdf = stats.projective_stationary_cdf(np.array([0.0, math.pi / 4, math.pi / 2]))
-    assert cdf[0] == pytest.approx(0.0, abs=1e-12)
-    assert cdf[-1] == pytest.approx(1.0, rel=1e-10)
-    assert cdf[1] == pytest.approx(0.5, rel=1e-10)  # density is symmetric about pi/4
-
-
 def test_stationary_mean_clock_rate_is_14_thirds():
     assert abs(stats.stationary_mean_clock_rate() - 14.0 / 3.0) < 1e-10
 
