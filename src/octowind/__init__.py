@@ -37,7 +37,6 @@ from .engine import (
     CoordinatePath,
     RadialPath,
     SimConfig,
-    WindingSample,
     log_time_grid,
     make_rng,
     simulate_coordinate,
@@ -61,7 +60,6 @@ from .specfun import (
 from .stats import (
     GaussTestReport,
     McEstimate,
-    empirical_cov,
     gaussian_test,
     mc_charfn,
     stationary_density_check,

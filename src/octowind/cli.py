@@ -23,6 +23,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -50,16 +51,12 @@ class ExperimentConfig:
     workers: int = 1
     block_size: int = mc.DEFAULT_BLOCK_SIZE
 
-    def to_dict(self) -> dict:
+    def config_hash(self) -> str:
         d = dataclasses.asdict(self)
+        del d["out"]  # the output location is not part of the experiment identity
         d["space"] = self.space.value
         if self.w0 is not None:
             d["w0"] = [float(v) for v in self.w0]
-        return d
-
-    def config_hash(self) -> str:
-        # The output location is not part of the experiment identity.
-        d = {k: v for k, v in self.to_dict().items() if k != "out"}
         blob = json.dumps(d, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -67,8 +64,8 @@ class ExperimentConfig:
 _KNOWN_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
-def _validate(raw: dict) -> ExperimentConfig:
-    violations = []
+def _validate(raw: dict, violations=()) -> ExperimentConfig:
+    violations = list(violations)  # those the caller found come first
     cfg = ExperimentConfig()
     unknown = set(raw) - _KNOWN_KEYS
     for key in sorted(unknown):
@@ -136,8 +133,8 @@ def _validate(raw: dict) -> ExperimentConfig:
     return cfg
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse a JSON object or key=value document into a validated config."""
+def _read(text: str) -> dict:
+    """The raw keys and values of a JSON object or key=value document."""
     stripped = text.lstrip()
     raw: dict = {}
     if stripped.startswith("{"):
@@ -164,7 +161,12 @@ def parse_config(text: str) -> ExperimentConfig:
             if key in raw:
                 raise ConfigError([f"duplicate key {key!r}"])
             raw[key] = value.strip()
-    return _validate(raw)
+    return raw
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse a JSON object or key=value document into a validated config."""
+    return _validate(_read(text))
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +199,13 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
     sim = SimConfig(space=cfg.space, t_end=cfg.t_end, dt=cfg.dt, r0=cfg.r0 if cfg.w0 is None else None,
                     w0=cfg.w0, scheme=cfg.scheme, seed=cfg.seed)
     if cfg.w0 is not None:
-        path, sample = engine.simulate_coordinate(sim)
+        path = engine.simulate_coordinate(sim)
         header = ["time"] + [f"c{i}" for i in range(8)] + [f"zeta{i}" for i in range(1, 8)]
         rows = (
             [t] + list(map(float, w)) + list(map(float, z))
             for t, w, z in zip(path.times, path.w, path.zeta)
         )
-        print(f"coordinate path: t_end={sample.t_end:.6g} |zeta|={float(np.linalg.norm(sample.zeta)):.6g}")
+        print(f"coordinate path: t_end={path.times[-1]:.6g} |zeta|={float(np.linalg.norm(path.zeta[-1])):.6g}")
     else:
         path = engine.simulate_radial(sim)
         header = ["time", "r", "clock"]
@@ -414,16 +416,25 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def _resolve(args) -> ExperimentConfig:
-    raw = {}
-    if args.config:
-        with open(args.config) as fh:
-            base = parse_config(fh.read())
-        raw = {k: v for k, v in base.to_dict().items() if v is not None}
+    try:
+        raw = _read(Path(args.config).read_text()) if args.config else {}
+    except OSError as exc:
+        raise ConfigError([f"config file {args.config!r}: {exc.strerror}"]) from None
     for key in _KNOWN_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             raw[key] = val
-    return _validate(raw)
+    problems = []
+    if args.command != "simulate" and "w0" in raw:
+        problems.append(f"w0 is for simulate only; {args.command} starts from r0")
+    if args.command == "table":
+        try:
+            args.t_values = [float(v) for v in args.t_values.split(",") if v.strip()]
+            problems += [f"t_values entry {t!r} violates 0 < t < inf"
+                         for t in args.t_values if not 0 < t < math.inf]
+        except ValueError:
+            problems.append(f"t_values = {args.t_values!r}; expected comma-separated numbers")
+    return _validate(raw, problems)
 
 
 def main(argv=None) -> int:
@@ -452,8 +463,7 @@ def main(argv=None) -> int:
         if args.command == "charfn":
             return _cmd_charfn(cfg)
         if args.command == "table":
-            t_values = [float(v) for v in args.t_values.split(",") if v.strip()]
-            return _cmd_table(cfg, t_values)
+            return _cmd_table(cfg, args.t_values)
     except ConfigError as exc:
         for v in exc.violations:
             print(f"config error: {v}", file=sys.stderr)

@@ -95,17 +95,6 @@ class RadialPath:
 
 
 @dataclass(frozen=True)
-class WindingSample:
-    """One Monte Carlo draw of the winding functional zeta(t)."""
-
-    zeta: np.ndarray
-    t_end: float
-    clock_end: Optional[float]
-    provenance: str  # "time_change" or "line_integral"
-    seed: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class CoordinatePath:
     """Discretized coordinate trajectory with the running winding integral."""
 
@@ -257,8 +246,8 @@ def _coordinate_step(spec, w: np.ndarray, norm_sq: np.ndarray, dw_noise: np.ndar
     return w + (0.5 * h) * (fw + f2 * pred) + (0.5 * (sig + sig2)) * dw_noise
 
 
-def simulate_coordinate(cfg: SimConfig, rng: Optional[np.random.Generator] = None):
-    """One coordinate trajectory and its line-integral winding sample: the
+def simulate_coordinate(cfg: SimConfig, rng: Optional[np.random.Generator] = None) -> CoordinatePath:
+    """One coordinate trajectory with its running line-integral winding: the
     batch kernel with one path, every step kept.
 
     Raises :class:`SimulationError` where the batch simulator would switch
@@ -274,9 +263,7 @@ def simulate_coordinate(cfg: SimConfig, rng: Optional[np.random.Generator] = Non
                                   "the batch simulator would continue it on the radial route", exit_time=t)
         states.append((t, w[:, 0], z[:, 0].copy()))
     times, w_hist, z_hist = (np.array(col) for col in zip(*states))
-    sample = WindingSample(zeta=zeta[0], t_end=float(times[-1]), clock_end=None,
-                           provenance="line_integral", seed=cfg.seed)
-    return CoordinatePath(cfg.space, times, w_hist, z_hist), sample
+    return CoordinatePath(cfg.space, times, w_hist, z_hist)
 
 
 def _coordinate_states(space: ModelSpace, w0: np.ndarray, t_end: float, dt: float, n_paths: int,
@@ -372,13 +359,18 @@ def simulate_coordinate_batch(
 # ---------------------------------------------------------------------------
 # Exact flat-space transitions for very long horizons
 
-def log_time_grid(t_end: float, t_init: float = 1e-4, per_decade: int = 128) -> np.ndarray:
-    """Time grid [0, t_init, ...geometric..., t_end] for long flat runs."""
-    if not (0 < t_init < t_end):
-        raise DomainError("need 0 < t_init < t_end")
-    decades = math.log10(t_end / t_init)
-    n = max(2, int(math.ceil(decades * per_decade)))
-    return np.concatenate([[0.0], np.geomspace(t_init, t_end, n + 1)])
+#: First positive time and points per decade of :func:`log_time_grid`.
+T_INIT = 1e-4
+PER_DECADE = 128
+
+
+def log_time_grid(t_end: float) -> np.ndarray:
+    """Time grid [0, T_INIT, ...geometric..., t_end] for long flat runs."""
+    if not t_end > T_INIT:
+        raise DomainError(f"log_time_grid needs t_end > {T_INIT:g}")
+    decades = math.log10(t_end / T_INIT)
+    n = max(2, int(math.ceil(decades * PER_DECADE)))
+    return np.concatenate([[0.0], np.geomspace(T_INIT, t_end, n + 1)])
 
 
 def simulate_flat_exact_batch(rho: float, times: np.ndarray, n_paths: int, rng: np.random.Generator):

@@ -30,8 +30,6 @@ class ConfigError(OctowindError, ValueError):
     ``violations`` lists every problem found, one human-readable string each.
     """
 
-    def __init__(self, violations):
-        if isinstance(violations, str):
-            violations = [violations]
+    def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))

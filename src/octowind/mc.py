@@ -38,7 +38,7 @@ def default_workers() -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            raise ConfigError(f"OCTOWIND_WORKERS = {env!r} is not an integer") from None
+            raise ConfigError([f"OCTOWIND_WORKERS = {env!r} is not an integer"]) from None
     return 1
 
 

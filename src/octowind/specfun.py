@@ -15,6 +15,9 @@ from scipy import integrate, special
 
 from .errors import DomainError, QuadratureError
 
+#: Relative tolerance of the flat_laplace quadrature.
+QUAD_RTOL = 1e-8
+
 
 def order_from_lambda(lambda_norm: float) -> float:
     """Bessel order nu = sqrt(9 + |lambda|^2) attached to a frequency."""
@@ -69,7 +72,7 @@ def _as_lambda_norm(lam) -> float:
     return float(np.linalg.norm(lam))
 
 
-def flat_laplace(rho: float, t: float, lambda_norm: float, rtol: float = 1e-8) -> float:
+def flat_laplace(rho: float, t: float, lambda_norm: float) -> float:
     """Finite-time transform E_rho[exp(-|lambda|^2 A_t / 2)] on the flat space.
 
     Integrates the Bessel(8) endpoint density against the Hartman-Watson
@@ -87,8 +90,8 @@ def flat_laplace(rho: float, t: float, lambda_norm: float, rtol: float = 1e-8) -
         return r ** 4 * math.exp(-0.5 * (r - c) ** 2) * special.ive(nu, c * r)
 
     r_cut = 16.0 + 3.0 * c
-    value, err = integrate.quad(integrand, 0.0, r_cut, points=[c], epsabs=0.0, epsrel=rtol, limit=300)
-    if not math.isfinite(value) or (value > 0 and err > 10 * rtol * value):
+    value, err = integrate.quad(integrand, 0.0, r_cut, points=[c], epsabs=0.0, epsrel=QUAD_RTOL, limit=300)
+    if not math.isfinite(value) or (value > 0 and err > 10 * QUAD_RTOL * value):
         raise QuadratureError(f"flat_laplace quadrature error {err:.3g} for value {value:.3g}")
     return t ** 1.5 / rho ** 3 * value
 

@@ -1,7 +1,7 @@
 """Monte Carlo estimators and distributional tests for winding samples.
 
-Estimators accept either a list of :class:`~octowind.engine.WindingSample`
-or the batched arrays produced by the drivers in :mod:`octowind.mc`.
+Estimators take a batched result of the drivers in :mod:`octowind.mc`: an
+object with ``zeta`` (n, 7) and, optionally, ``clock_end`` (n,).
 """
 
 from __future__ import annotations
@@ -15,10 +15,6 @@ from scipy import integrate, stats as spstats
 
 from .errors import DomainError
 from .geometry import ModelSpace
-
-DEFAULT_KS_THRESHOLD = 0.02
-DEFAULT_DIAG_RTOL = 0.05
-DEFAULT_OFFDIAG_ATOL = 0.1
 
 
 @dataclass(frozen=True)
@@ -34,48 +30,28 @@ class GaussTestReport:
     cov_matrix: np.ndarray            # 7x7 sample covariance
     max_offdiag: float
     passed: bool
-    ks_threshold: float
-    diag_rtol: float
-    offdiag_atol: float
-
-    def to_dict(self) -> dict:
-        return {
-            "ks_per_marginal": [float(k) for k in self.ks_per_marginal],
-            "cov_matrix": [[float(v) for v in row] for row in self.cov_matrix],
-            "max_offdiag": float(self.max_offdiag),
-            "pass": bool(self.passed),
-            "ks_threshold": self.ks_threshold,
-            "diag_rtol": self.diag_rtol,
-            "offdiag_atol": self.offdiag_atol,
-        }
 
 
-def _gather(samples) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Extract (zeta (n,7), clock (n,) or None) from either input form."""
-    if hasattr(samples, "zeta"):  # a batched MC result
-        zeta = samples.zeta
-        clock = getattr(samples, "clock_end", None)
-        if zeta is None and clock is None:
-            raise DomainError("result carries neither windings nor clock values")
-        n = len(zeta) if zeta is not None else len(clock)
-        return (zeta if zeta is not None else np.zeros((n, 7))), clock
-    samples = list(samples)
-    if not samples:
-        raise DomainError("empty sample list")
-    zeta = np.stack([s.zeta for s in samples])
-    clocks = [s.clock_end for s in samples]
-    clock = np.array(clocks, dtype=float) if all(c is not None for c in clocks) else None
-    return zeta, clock
+def _gather(result) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(zeta (n, 7), clock (n,) or None) of a batched result."""
+    zeta = result.zeta
+    clock = getattr(result, "clock_end", None)
+    if zeta is None and clock is None:
+        raise DomainError("result carries neither windings nor clock values")
+    n = len(zeta) if zeta is not None else len(clock)
+    if n == 0:
+        raise DomainError("empty result")
+    return (zeta if zeta is not None else np.zeros((n, 7))), clock
 
 
-def mc_charfn(samples, lam) -> McEstimate:
+def mc_charfn(result, lam) -> McEstimate:
     """Monte Carlo estimate of the characteristic function E[exp(i lam . zeta)].
 
     When clock values are attached, the conditional (Rao-Blackwellized)
     estimator exp(-|lam|^2 A_t / 2) is used; otherwise cos(lam . zeta).
     Either way the estimator is real and even in lam.
     """
-    zeta, clock = _gather(samples)
+    zeta, clock = _gather(result)
     lam = np.asarray(lam, dtype=float)
     if lam.ndim == 0:
         direction = np.zeros(7)
@@ -93,20 +69,12 @@ def mc_charfn(samples, lam) -> McEstimate:
     return McEstimate(value=value, std_error=se, n_samples=n)
 
 
-def empirical_cov(samples) -> np.ndarray:
-    """Unbiased sample covariance of the 7 winding coordinates."""
-    zeta, _ = _gather(samples)
-    if len(zeta) < 2:
-        raise DomainError("need at least two samples for a covariance")
-    return np.cov(zeta, rowvar=False)
-
-
 def gaussian_test(
-    samples,
+    result,
     target_cov,
-    ks_threshold: float = DEFAULT_KS_THRESHOLD,
-    diag_rtol: float = DEFAULT_DIAG_RTOL,
-    offdiag_atol: float = DEFAULT_OFFDIAG_ATOL,
+    ks_threshold: float = 0.02,
+    diag_rtol: float = 0.05,
+    offdiag_atol: float = 0.1,
 ) -> GaussTestReport:
     """Test winding samples against N(0, target_cov).
 
@@ -114,7 +82,7 @@ def gaussian_test(
     compared to the standard normal CDF by a one-sample KS statistic; the
     sample covariance must match the target within the stated tolerances.
     """
-    zeta, _ = _gather(samples)
+    zeta, _ = _gather(result)
     if len(zeta) < 100:
         raise DomainError("gaussian_test needs at least 100 samples")
     target_cov = np.asarray(target_cov, dtype=float)
@@ -138,19 +106,7 @@ def gaussian_test(
         cov_matrix=cov,
         max_offdiag=max_offdiag,
         passed=passed,
-        ks_threshold=ks_threshold,
-        diag_rtol=diag_rtol,
-        offdiag_atol=offdiag_atol,
     )
-
-
-def ks_vs_cdf(values: np.ndarray, cdf) -> float:
-    """One-sample Kolmogorov-Smirnov statistic against a callable CDF."""
-    x = np.sort(np.asarray(values, dtype=float))
-    n = x.size
-    f = np.asarray(cdf(x), dtype=float)
-    grid = np.arange(1, n + 1) / n
-    return float(max(np.max(grid - f), np.max(f - (grid - 1.0 / n))))
 
 
 # ---------------------------------------------------------------------------
@@ -180,4 +136,4 @@ def stationary_density_check(radial_samples, space: ModelSpace) -> float:
     pdf = np.sin(2 * grid) ** 7
     cdf = np.concatenate([[0.0], integrate.cumulative_simpson(pdf, x=grid)])
     cdf /= cdf[-1]
-    return ks_vs_cdf(samples, lambda x: np.interp(x, grid, cdf))
+    return float(spstats.kstest(samples, lambda x: np.interp(x, grid, cdf)).statistic)

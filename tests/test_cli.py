@@ -155,6 +155,66 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config error" in err and "dt" in err
 
 
+@pytest.mark.parametrize("text,fix,flags", [
+    ("t_end = 0.0005\ndt = 0.001\nr0 = 1.0\n", ["--t", "0.01"],
+     ["--t", "0.01", "--dt", "0.001", "--r0", "1.0"]),
+    ('{"space": "projective", "t_end": 0.05, "r0": 1.6, "seed": 3}', ["--r0", "0.7"],
+     ["--space", "projective", "--t", "0.05", "--r0", "0.7", "--seed", "3"]),
+], ids=["key_value", "json"])
+def test_flags_override_a_config_file_before_validation(tmp_path, capsys, text, fix, flags):
+    # Each file is invalid on its own (t_end < dt; r0 past pi/2) and valid
+    # once the flag replaces the bad value.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "alone.csv")]) == 2
+    assert _run(["simulate", "--config", str(cfg), *fix, "--out", str(tmp_path / "file.csv")]) == 0
+    assert _run(["simulate", *flags, "--out", str(tmp_path / "flags.csv")]) == 0
+    assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
+
+
+def test_merged_config_lists_every_violation(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("space = moebius\ndt = -1\n")
+    assert _run(["charfn", "--config", str(cfg), "--paths", "0", "--r0", "1.0",
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("config error")]
+    assert len(errors) == 3
+    for key in ("space", "dt", "n_paths"):
+        assert any(key in line for line in errors)
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["charfn", "table"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_w0_is_rejected_outside_simulate(tmp_path, capsys, command, source):
+    w0 = "0.3,0,0,0,0,0,0,0"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"w0 = {w0}\n")
+    start = ["--w0", w0] if source == "flag" else ["--config", str(cfg)]
+    argv = [command, "--space", "projective", *start, "--t", "0.1", "--paths", "10",
+            "--out", str(tmp_path / "o.csv")]
+    assert _run(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "w0" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["simulate", "--config", "missing.cfg"], "missing.cfg"),
+    (["table", "--t-values", "1e3,abc"], "t_values"),
+    (["table", "--t-values", "-5"], "-5"),
+    (["table", "--t-values", "1e3,0"], "0"),
+    (["table", "--t-values", "nan"], "nan"),
+    (["table", "--t-values", "inf"], "inf"),
+])
+def test_invalid_cli_input_exits_2(tmp_path, monkeypatch, capsys, argv, named):
+    monkeypatch.chdir(tmp_path)
+    assert _run([*argv, "--out", "o.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and named in err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_projective_radial_start_beyond_the_chart_ceiling_runs(tmp_path, capsys):
     # 1.5 lies past the coordinate chart ceiling 1.45 but inside the radial
     # domain, which is all a radial path needs.

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from octowind import engine
 from octowind.engine import (
     EULER_MARUYAMA,
+    PER_DECADE,
     STRATONOVICH_HEUN,
+    T_INIT,
     RadialPath,
     SimConfig,
     log_time_grid,
@@ -204,10 +206,9 @@ def _w0(space, r0):
 
 def test_coordinate_zero_noise_flat():
     cfg = SimConfig(space=ModelSpace.FLAT, t_end=1.0, dt=1e-2, w0=_w0(ModelSpace.FLAT, 1.0))
-    path, sample = simulate_coordinate(cfg, rng=ZeroNoise())
+    path = simulate_coordinate(cfg, rng=ZeroNoise())
     assert np.allclose(path.w[-1], path.w[0])
-    assert np.allclose(sample.zeta, 0.0)
-    assert sample.provenance == "line_integral"
+    assert np.allclose(path.zeta[-1], 0.0)
 
 
 @pytest.mark.parametrize(
@@ -221,7 +222,7 @@ def test_coordinate_zero_noise_projective_ode(scheme, rate):
     r0, t_end = 0.8, 0.2
     cfg = SimConfig(space=ModelSpace.PROJECTIVE, t_end=t_end, dt=1e-4,
                     w0=_w0(ModelSpace.PROJECTIVE, r0), scheme=scheme)
-    path, _ = simulate_coordinate(cfg, rng=ZeroNoise())
+    path = simulate_coordinate(cfg, rng=ZeroNoise())
     r_end = math.atan(float(np.linalg.norm(path.w[-1])))
     assert math.sin(r_end) == pytest.approx(math.sin(r0) * math.exp(-rate * t_end), rel=2e-3)
 
@@ -235,7 +236,7 @@ def test_coordinate_zero_noise_hyperbolic_ode(scheme, rate):
     r0, t_end = 0.5, 0.2
     cfg = SimConfig(space=ModelSpace.HYPERBOLIC, t_end=t_end, dt=1e-4,
                     w0=_w0(ModelSpace.HYPERBOLIC, r0), scheme=scheme)
-    path, _ = simulate_coordinate(cfg, rng=ZeroNoise())
+    path = simulate_coordinate(cfg, rng=ZeroNoise())
     r_end = math.atanh(float(np.linalg.norm(path.w[-1])))
     assert math.sinh(r_end) == pytest.approx(math.sinh(r0) * math.exp(rate * t_end), rel=2e-3)
 
@@ -248,7 +249,7 @@ def test_coordinate_zero_noise_first_order_convergence():
     def err(dt):
         cfg = SimConfig(space=ModelSpace.PROJECTIVE, t_end=t_end, dt=dt,
                         w0=_w0(ModelSpace.PROJECTIVE, r0), scheme=EULER_MARUYAMA)
-        path, _ = simulate_coordinate(cfg, rng=ZeroNoise())
+        path = simulate_coordinate(cfg, rng=ZeroNoise())
         r_end = math.atan(float(np.linalg.norm(path.w[-1])))
         return abs(math.sin(r_end) - exact)
 
@@ -270,10 +271,10 @@ def test_coordinate_chart_exit_raises():
 def test_coordinate_deterministic():
     cfg = SimConfig(space=ModelSpace.PROJECTIVE, t_end=0.5, dt=1e-3,
                     w0=_w0(ModelSpace.PROJECTIVE, 0.6), seed=77)
-    p1, s1 = simulate_coordinate(cfg)
-    p2, s2 = simulate_coordinate(cfg)
+    p1 = simulate_coordinate(cfg)
+    p2 = simulate_coordinate(cfg)
     assert np.array_equal(p1.w, p2.w)
-    assert np.array_equal(s1.zeta, s2.zeta)
+    assert np.array_equal(p1.zeta[-1], p2.zeta[-1])
 
 
 def test_coordinate_batch_deterministic_and_flat_law():
@@ -405,23 +406,25 @@ def test_coordinate_batch_matches_reference_kernel(space, r0, scheme):
 def test_single_coordinate_path_is_a_batch_of_one():
     cfg = SimConfig(space=ModelSpace.PROJECTIVE, t_end=0.5, dt=1e-3,
                     w0=_w0(ModelSpace.PROJECTIVE, 0.6), seed=78)
-    _, sample = simulate_coordinate(cfg)
+    path = simulate_coordinate(cfg)
     z, k = simulate_coordinate_batch(cfg.space, cfg.w0, cfg.t_end, cfg.dt, 1, make_rng(cfg.seed))
     assert k == 0
-    assert np.array_equal(sample.zeta, z[0])
+    assert np.array_equal(path.zeta[-1], z[0])
 
 
 # ---------------------------------------------------------------------------
 # Exact flat transitions
 
 def test_log_time_grid():
-    g = log_time_grid(1e4, t_init=1e-2, per_decade=8)
+    g = log_time_grid(1e4)
     assert g[0] == 0.0
-    assert g[1] == pytest.approx(1e-2)
+    assert g[1] == pytest.approx(T_INIT)
     assert g[-1] == pytest.approx(1e4)
+    assert len(g) == 2 + 8 * PER_DECADE  # 0, then 8 decades from T_INIT to 1e4
     assert np.all(np.diff(g) > 0)
-    with pytest.raises(DomainError):
-        log_time_grid(1.0, t_init=2.0)
+    for t_end in (T_INIT, 1e-5):
+        with pytest.raises(DomainError):
+            log_time_grid(t_end)
 
 
 def test_flat_exact_batch_mean_squared_radius():
