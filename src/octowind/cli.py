@@ -51,9 +51,13 @@ class ExperimentConfig:
     workers: int = 1
     block_size: int = mc.DEFAULT_BLOCK_SIZE
 
-    def config_hash(self) -> str:
+    def config_hash(self, t_values: Optional[list[float]] = None) -> str:
+        """Hash of the fields, and of the horizons when ``table`` passes them;
+        the output location is not part of it."""
         d = dataclasses.asdict(self)
-        del d["out"]  # the output location is not part of the experiment identity
+        del d["out"]
+        if t_values is not None:
+            d["t_values"] = t_values
         d["space"] = self.space.value
         if self.w0 is not None:
             d["w0"] = [float(v) for v in self.w0]
@@ -256,7 +260,7 @@ def _cmd_table(cfg: ExperimentConfig, t_values: list[float]) -> int:
                 rows.append([cfg.space.value, ln, cfg.r0, t, specfun.flat_laplace(cfg.r0, t, scaled)])
         rows.append([cfg.space.value, ln, cfg.r0, "inf", _CLOSED_FORMS[cfg.space][1](ln, cfg.r0)])
     header = ["space", "lambda_norm", "r0", "t", "closed_form_value"]
-    text = _write_csv(cfg.out, header, rows, cfg.config_hash())
+    text = _write_csv(cfg.out, header, rows, cfg.config_hash(t_values=t_values))
     if not cfg.out:
         sys.stdout.write(text)
     else:
@@ -400,19 +404,21 @@ def _cmd_verify(suite: str, out: Optional[str]) -> int:
 # Argument parsing
 
 def _add_common(p: argparse.ArgumentParser):
+    # Values stay strings: _validate converts them as it does a config file's,
+    # so a malformed flag is one more listed violation.
     p.add_argument("--config", help="JSON or key=value config file; flags override it")
-    p.add_argument("--space", choices=[s.value for s in ModelSpace])
-    p.add_argument("--t", dest="t_end", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--paths", dest="n_paths", type=int)
-    p.add_argument("--r0", type=float)
+    p.add_argument("--space", help="flat, projective or hyperbolic")
+    p.add_argument("--t", dest="t_end")
+    p.add_argument("--dt")
+    p.add_argument("--paths", dest="n_paths")
+    p.add_argument("--r0")
     p.add_argument("--w0", help="8 comma-separated components")
     p.add_argument("--lambda-norm", dest="lambda_norms", help="comma-separated |lambda| values")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed")
     p.add_argument("--out", help="output CSV path")
-    p.add_argument("--scheme", choices=list(SCHEMES))
-    p.add_argument("--workers", type=int)
-    p.add_argument("--block-size", dest="block_size", type=int)
+    p.add_argument("--scheme", help=" or ".join(SCHEMES))
+    p.add_argument("--workers")
+    p.add_argument("--block-size", dest="block_size")
 
 
 def _resolve(args) -> ExperimentConfig:

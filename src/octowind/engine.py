@@ -104,19 +104,25 @@ class CoordinatePath:
     zeta: np.ndarray   # (n_steps + 1, 7)
 
 
-def _radial_step(drift, implicit_root, r, noise, dt, hi_guard, t_now):
-    """Euler-Maruyama step of r; proposals outside (R_MIN, hi_guard) are redone
-    implicitly, and a path still outside raises for the whole batch."""
-    prop = r + drift(r) * dt + noise
-    bad = (prop <= R_MIN) | (prop >= hi_guard)
-    if np.any(bad):
-        prop[bad] = implicit_root((r + noise)[bad], dt)
-        if np.any((prop <= R_MIN) | (prop >= hi_guard)):
-            raise SimulationError(
-                f"radial path left ({R_MIN:.3g}, {hi_guard:.3g}) at t = {t_now:.6g}",
-                exit_time=t_now,
-            )
-    return prop
+def _radial_step(law, implicit_root, r, drift, rate, clock, noise, dt, hi_guard, t_now):
+    """Euler-Maruyama step of r, whose drift and clock rate are ``drift`` and
+    ``rate``; returns (r, drift, rate) at the new point and adds the step's
+    trapezoid to ``clock`` in place.  Proposals outside (R_MIN, hi_guard) are
+    redone implicitly, and a path still outside raises for the whole batch."""
+    prop = r + drift * dt + noise
+    # One reduction per bound on the common path; a NaN fails it and takes the masks.
+    if prop.size and not (prop.min() > R_MIN and prop.max() < hi_guard):
+        bad = (prop <= R_MIN) | (prop >= hi_guard)
+        if np.any(bad):
+            prop[bad] = implicit_root((r + noise)[bad], dt)
+            if np.any((prop <= R_MIN) | (prop >= hi_guard)):
+                raise SimulationError(
+                    f"radial path left ({R_MIN:.3g}, {hi_guard:.3g}) at t = {t_now:.6g}",
+                    exit_time=t_now,
+                )
+    drift, new_rate = law(prop)
+    clock += 0.5 * dt * (rate + new_rate)
+    return prop, drift, new_rate
 
 
 def _time_steps(t_end: float, dt: float):
@@ -136,21 +142,18 @@ def _radial_states(space: ModelSpace, r0: float, t_end: float, dt: float, n_path
     """The radial batch kernel: yields (t, r, clock) at t = 0 and after every
     step.  The clock is accumulated by the trapezoidal rule, in place."""
     _require(start_problems(space, r0=r0))
-    spec = space.spec
-    drift, implicit_root = spec.radial(tilt)
-    hi_guard = spec.r_hi - R_MIN
+    law, implicit_root = space.spec.radial(tilt)
+    hi_guard = space.spec.r_hi - R_MIN
     r = np.full(n_paths, float(r0))
-    rate = spec.clock(r)
+    drift, rate = law(r)
     clock = np.zeros(n_paths)
     t_now = 0.0
     yield t_now, r, clock
     for h in _time_steps(t_end, dt):
         noise = rng.standard_normal(n_paths) * math.sqrt(h)
         t_now += h
-        r = _radial_step(drift, implicit_root, r, noise, h, hi_guard, t_now)
-        new_rate = spec.clock(r)
-        clock += 0.5 * h * (rate + new_rate)
-        rate = new_rate
+        r, drift, rate = _radial_step(law, implicit_root, r, drift, rate, clock, noise, h, hi_guard,
+                                      t_now)
         yield t_now, r, clock
         if stop_rate_tol is not None and float(rate.max()) < stop_rate_tol:
             return
@@ -279,17 +282,17 @@ def _coordinate_states(space: ModelSpace, w0: np.ndarray, t_end: float, dt: floa
     """
     _require(start_problems(space, w0=w0))
     spec = space.spec
-    drift, implicit_root = spec.radial(None)
+    law, implicit_root = spec.radial(None)
     hi_guard = spec.r_hi - R_MIN
     idx = np.arange(n_paths)
     w = np.repeat(w0[:, None], n_paths, axis=1)
     n2 = _norm_sq(w)
     wn, r = _chart(spec, n2)
     z = np.zeros((7, n_paths))
-    # Switched paths in the order they switched: path index, radius, clock
-    # rate at that radius, and the clock accrued since the switch.
+    # Switched paths in the order they switched: path index, radius, drift and
+    # clock rate at that radius, and the clock accrued since the switch.
     sw_idx = np.empty(0, dtype=np.intp)
-    r_sw = rate_sw = clock_sw = np.empty(0)
+    r_sw = drift_sw = rate_sw = clock_sw = np.empty(0)
 
     t_now = 0.0
     yield t_now, idx, w, z
@@ -307,9 +310,11 @@ def _coordinate_states(space: ModelSpace, w0: np.ndarray, t_end: float, dt: floa
                 out = idx[bad]
                 zeta[out] = z[:, bad].T
                 r_here = np.clip(r[bad], 2.0 * R_MIN, hi_guard - R_MIN)
+                drift_here, rate_here = law(r_here)
                 sw_idx = np.concatenate([sw_idx, out])
                 r_sw = np.concatenate([r_sw, r_here])
-                rate_sw = np.concatenate([rate_sw, spec.clock(r_here)])
+                drift_sw = np.concatenate([drift_sw, drift_here])
+                rate_sw = np.concatenate([rate_sw, rate_here])
                 clock_sw = np.concatenate([clock_sw, np.zeros(out.size)])
                 keep = ~bad
                 idx, w, z, w_new = idx[keep], w[:, keep], z[:, keep], w_new[:, keep]
@@ -318,10 +323,8 @@ def _coordinate_states(space: ModelSpace, w0: np.ndarray, t_end: float, dt: floa
                 z += winding_form_cols(0.5 * (w + w_new), w_new - w)
             w, n2, wn, r = w_new, n2_new, wn_new, r_new
         if sw_idx.size:
-            r_next = _radial_step(drift, implicit_root, r_sw, noise[sw_idx, 0] * sqrt_h, h, hi_guard, t_now)
-            new_rate = spec.clock(r_next)
-            clock_sw += 0.5 * h * (rate_sw + new_rate)
-            r_sw, rate_sw = r_next, new_rate
+            r_sw, drift_sw, rate_sw = _radial_step(law, implicit_root, r_sw, drift_sw, rate_sw, clock_sw,
+                                                   noise[sw_idx, 0] * sqrt_h, h, hi_guard, t_now)
         yield t_now, idx, w, z
     zeta[idx] = z.T
     if sw_idx.size:

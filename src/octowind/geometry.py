@@ -8,6 +8,11 @@ the inhomogeneous coordinate w to the geodesic distance r from the origin:
 * projective:  r in (0, pi/2),  drift 7 cot(2r),    clock 4/sin^2(2r),    r = arctan|w|
 * hyperbolic:  r in (0, inf),   drift 7 coth(2r),   clock 4/sinh^2(2r),   r = artanh|w|
 
+The drift and the clock rate of a space are one function of r, evaluated once
+per radial step: the projective clock is evaluated as 4 (1 + cot^2 2r) from
+the drift's tan(2r), and the hyperbolic drift as p coth r + q tanh r
+(p = q = 7/2 untilted) from one tanh(r).
+
 The coordinate SDE dw = sigma dW + f w dt has sigma = sec^2 r = 1 + |w|^2
 (projective), sech^2 r = 1 - |w|^2 (hyperbolic) or 1 (flat), so its
 coefficients are polynomials in |w|^2.
@@ -55,9 +60,10 @@ class SpaceSpec:
     """One model space: radial law, clock, chart and coordinate SDE.
 
     The radial domain is (0, r_hi) and the chart covers |w| in [0, norm_hi).
-    ``radial(tilt)`` returns the drift b(r) under a tilt (None for the
-    untilted law) together with the solver of the implicit radial step
-    x - b(x) dt = target.  ``radius`` and ``norm`` are the chart |w| -> r and
+    ``radial(tilt)`` returns the radial law under a tilt (None for the
+    untilted law), r -> (drift b(r), clock rate), together with the solver
+    of the implicit radial step x - b(x) dt = target; the clock rate does not
+    depend on the tilt.  ``radius`` and ``norm`` are the chart |w| -> r and
     its inverse; they do not validate.  The coordinate SDE has sigma =
     1 + sigma_sign |w|^2 and drift factor drift_sign * k * sigma, k = 6 (Ito)
     or 7 (Stratonovich).  Coordinate stepping stops at ``chart_ceiling``.
@@ -69,7 +75,6 @@ class SpaceSpec:
     sigma_sign: float
     drift_sign: float
     radial: Callable
-    clock: Callable
     radius: Callable
     norm: Callable
 
@@ -79,13 +84,13 @@ class SpaceSpec:
         return sig, ((7.0 if stratonovich else 6.0) * self.drift_sign) * sig
 
 
-def _bisect(drift, target, dt, hi):
-    """Root of x - drift(x) dt = target in (1e-14, hi); the drifts decrease
-    strictly in x, so the root is unique."""
+def _bisect(law, target, dt, hi):
+    """Root of x - b(x) dt = target in (1e-14, hi), b the drift of ``law``;
+    the drifts decrease strictly in x, so the root is unique."""
     lo = np.full_like(target, 1e-14)
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        neg = mid - drift(mid) * dt - target < 0
+        neg = mid - law(mid)[0] * dt - target < 0
         lo = np.where(neg, mid, lo)
         hi = np.where(neg, hi, mid)
     return 0.5 * (lo + hi)
@@ -96,16 +101,21 @@ def _flat_radial(tilt):
     k = (7.0 + 2.0 * mu) / 2.0
     if k <= 0:
         raise DomainError("flat tilt must keep the Bessel drift positive (mu > -3.5)")
-    return (lambda r: k / r), (lambda target, dt: 0.5 * (target + np.sqrt(target * target + 4.0 * k * dt)))
+
+    def law(r):
+        return k / r, 1.0 / (r * r)
+    return law, lambda target, dt: 0.5 * (target + np.sqrt(target * target + 4.0 * k * dt))
 
 
 def _projective_radial(tilt):
     if tilt is not None:
         raise DomainError("tilted simulation is not defined for the projective space")
 
-    def drift(r):
-        return 7.0 / np.tan(2.0 * r)
-    return drift, lambda target, dt: _bisect(drift, target, dt, np.full_like(target, math.pi / 2 - 1e-14))
+    def law(r):
+        # 4 / sin^2(2r) = 4 (1 + cot^2 2r): one tan serves the drift and the clock.
+        tn = np.tan(2.0 * r)
+        return 7.0 / tn, 4.0 + 4.0 / tn ** 2
+    return law, lambda target, dt: _bisect(law, target, dt, np.full_like(target, math.pi / 2 - 1e-14))
 
 
 def _hyperbolic_radial(tilt):
@@ -113,18 +123,19 @@ def _hyperbolic_radial(tilt):
     a_hat, b_hat = (0.0, 0.0) if tilt is None else tilt
     p, q = float(a_hat) + 3.5, float(b_hat) + 3.5
 
-    def drift(r):
-        return p / np.tanh(r) + q * np.tanh(r)
+    def law(r):
+        th = np.tanh(r)
+        return p / th + q * th, 4.0 / np.sinh(2.0 * r) ** 2
 
     def root(target, dt):
         hi = np.maximum(np.abs(target) + 1.0, 2.0)
         for _ in range(200):
-            g = hi - drift(hi) * dt - target
+            g = hi - law(hi)[0] * dt - target
             if np.all(g > 0):
-                return _bisect(drift, target, dt, hi)
+                return _bisect(law, target, dt, hi)
             hi = np.where(g > 0, hi, 2.0 * hi)
         raise SimulationError("implicit radial step failed to bracket a root")
-    return drift, root
+    return law, root
 
 
 # The projective chart degenerates near pi/2.  The hyperbolic one only loses
@@ -134,15 +145,14 @@ def _hyperbolic_radial(tilt):
 SPACES = {
     ModelSpace.FLAT: SpaceSpec(
         r_hi=math.inf, norm_hi=math.inf, chart_ceiling=15.0, sigma_sign=0.0, drift_sign=0.0,
-        radial=_flat_radial, clock=lambda r: 1.0 / (r * r), radius=np.asarray, norm=np.asarray),
+        radial=_flat_radial, radius=np.asarray, norm=np.asarray),
     ModelSpace.PROJECTIVE: SpaceSpec(
         r_hi=math.pi / 2, norm_hi=math.inf, chart_ceiling=1.45, sigma_sign=1.0, drift_sign=-1.0,
-        radial=_projective_radial, clock=lambda r: 4.0 / np.sin(2.0 * r) ** 2,
-        radius=np.arctan, norm=np.tan),
+        radial=_projective_radial, radius=np.arctan, norm=np.tan),
     ModelSpace.HYPERBOLIC: SpaceSpec(
         r_hi=math.inf, norm_hi=1.0, chart_ceiling=15.0, sigma_sign=-1.0, drift_sign=1.0,
-        radial=_hyperbolic_radial, clock=lambda r: 4.0 / np.sinh(2.0 * r) ** 2,
-        radius=lambda u: np.arctanh(np.minimum(u, 1.0 - 1e-15)), norm=np.tanh),
+        radial=_hyperbolic_radial, radius=lambda u: np.arctanh(np.minimum(u, 1.0 - 1e-15)),
+        norm=np.tanh),
 }
 
 
@@ -182,12 +192,12 @@ def _check_norm(space: ModelSpace, w_norm) -> np.ndarray:
 
 def radial_drift(space: ModelSpace, r):
     """Drift b(r) of the radial diffusion dr = b(r) dt + dB."""
-    return _scalar(space.spec.radial(None)[0](_check_radial(space, r)))
+    return _scalar(space.spec.radial(None)[0](_check_radial(space, r))[0])
 
 
 def clock_rate(space: ModelSpace, r):
     """Integrand of the angular clock A_t = int_0^t clock_rate(r(s)) ds."""
-    return _scalar(space.spec.clock(_check_radial(space, r)))
+    return _scalar(space.spec.radial(None)[0](_check_radial(space, r))[1])
 
 
 def coord_radius(space: ModelSpace, w_norm):

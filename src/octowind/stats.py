@@ -114,8 +114,9 @@ def gaussian_test(
 
 def stationary_mean_clock_rate() -> float:
     """Mean of the clock rate under the projective stationary law (quadrature)."""
+    law = ModelSpace.PROJECTIVE.spec.radial(None)[0]
     norm, _ = integrate.quad(lambda u: math.sin(2 * u) ** 7, 0.0, math.pi / 2, epsabs=1e-14, epsrel=1e-13)
-    val, _ = integrate.quad(lambda u: 4.0 / math.sin(2 * u) ** 2 * math.sin(2 * u) ** 7,
+    val, _ = integrate.quad(lambda u: float(law(u)[1]) * math.sin(2 * u) ** 7,
                             0.0, math.pi / 2, epsabs=1e-14, epsrel=1e-13)
     return val / norm
 

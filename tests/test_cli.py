@@ -237,6 +237,58 @@ def test_invalid_start_point_exits_2_from_every_subcommand(tmp_path, capsys, com
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_malformed_flags_are_listed_config_errors(capsys):
+    assert cli.main(["simulate", "--t", "abc", "--dt", "x"]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("config error")]
+    assert len(errors) == 2
+    assert any("t_end" in e and "'abc'" in e for e in errors)
+    assert any("dt" in e and "'x'" in e for e in errors)
+
+
+def test_every_typed_flag_is_validated_with_the_rest(tmp_path, capsys):
+    argv = ["charfn", "--space", "moebius", "--t", "abc", "--paths", "1.5", "--seed", "x", "--workers", "two",
+            "--block-size", "big", "--scheme", "rk4", "--r0", "q", "--out", str(tmp_path / "o.csv")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    for named in ("moebius", "'abc'", "'1.5'", "'x'", "'two'", "'big'", "'rk4'", "'q'"):
+        assert named in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+# Config hashes these flag sets had when argparse converted the flags.
+_FLAG_HASHES = [
+    (["simulate", "--space", "flat", "--t", "0.1", "--dt", "0.001", "--r0", "1.0", "--seed", "3"],
+     "0f05f8c9e6dd9636"),
+    (["simulate", "--space", "projective", "--t", "0.05", "--dt", "0.001", "--w0", "0.5,0,0,0,0,0,0,0",
+      "--seed", "4", "--scheme", "euler_maruyama"], "f2ce3921b25b7e50"),
+    (["charfn", "--space", "hyperbolic", "--t", "2", "--dt", "0.01", "--paths", "300", "--block-size", "100",
+      "--r0", "1.0", "--lambda-norm", "0.5,1", "--seed", "6", "--workers", "1"], "e44bee3e2c1184cd"),
+]
+
+
+@pytest.mark.parametrize("argv,config_hash", _FLAG_HASHES, ids=["radial", "coordinate", "charfn"])
+def test_flags_give_the_bytes_of_the_same_config_file(tmp_path, capsys, argv, config_hash):
+    keys = {"--t": "t_end", "--paths": "n_paths", "--lambda-norm": "lambda_norms",
+            "--block-size": "block_size"}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{keys.get(f, f[2:])} = {v}\n" for f, v in zip(argv[1::2], argv[2::2])))
+    assert _run([*argv, "--out", str(tmp_path / "flags.csv")]) == 0
+    assert _run([argv[0], "--config", str(cfg), "--out", str(tmp_path / "file.csv")]) == 0
+    flags = (tmp_path / "flags.csv").read_bytes()
+    assert flags == (tmp_path / "file.csv").read_bytes()
+    assert flags.decode().splitlines()[0] == f"# config {config_hash}"
+
+
+def test_table_hash_identifies_the_horizons(tmp_path, capsys):
+    heads = []
+    for i, t_values in enumerate(("1e3", "1e5", "1e3")):
+        out = tmp_path / f"t{i}.csv"
+        assert _run(["table", "--space", "flat", "--t-values", t_values, "--out", str(out)]) == 0
+        heads.append(out.read_text().splitlines()[0])
+    assert heads[0] != heads[1]
+    assert heads[0] == heads[2]
+
+
 def test_workers_default_from_environment(tmp_path, monkeypatch, capsys):
     argv = ["charfn", "--space", "flat", "--t", "0.05", "--paths", "300", "--block-size", "100",
             "--r0", "1.0", "--seed", "6"]

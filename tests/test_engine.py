@@ -1,5 +1,6 @@
 """Path simulation: reproducibility, domain guards, and law-level oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from octowind import engine
+from octowind import engine, geometry
 from octowind.engine import (
     EULER_MARUYAMA,
     PER_DECADE,
@@ -24,7 +25,7 @@ from octowind.engine import (
     simulate_radial_batch,
 )
 from octowind.errors import DomainError, SimulationError
-from octowind.geometry import R_MIN, ModelSpace, clock_rate
+from octowind.geometry import R_MIN, ModelSpace
 from octowind.octonion import conj_array, mul_array
 
 
@@ -152,11 +153,11 @@ _TILTS = {
 @example((ModelSpace.HYPERBOLIC, (2.0, -8.0)), [-0.3, 0.01, 0.4, 1.2], 1e-2)
 def test_implicit_step_solves_the_backward_equation(space_tilt, target, dt):
     space, tilt = space_tilt
-    drift, implicit_root = space.spec.radial(tilt)
+    law, implicit_root = space.spec.radial(tilt)
     target = np.array(target)
     x = implicit_root(target, dt)
     assert np.all((x > 0) & (x < space.spec.r_hi))
-    assert np.allclose(x - drift(x) * dt, target, rtol=0.0, atol=1e-9)
+    assert np.allclose(x - law(x)[0] * dt, target, rtol=0.0, atol=1e-9)
 
 
 def test_flat_mean_squared_radius():
@@ -191,6 +192,123 @@ def test_radial_batch_early_stop():
         ModelSpace.HYPERBOLIC, 1.0, 50.0, 1e-2, 200, rng, stop_rate_tol=1e-10
     )
     assert t_reached < 50.0  # all paths escaped; stepping stopped early
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the reference radial kernel
+#
+# The reference below is the radial kernel in its straightforward form: the
+# drift and the clock rate as separate expressions, each evaluated from r on
+# every step (the projective clock through sin), its own implicit-step solver,
+# and the guard's masks built on every step.  The production kernel must draw
+# the same normals and give the same radii and stop times; its clock may
+# differ only by the rounding of 4 (1 + cot^2 2r) against 4 / sin^2(2r).
+
+def _reference_bisect(drift, target, dt, hi):
+    lo = np.full_like(target, 1e-14)
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        neg = mid - drift(mid) * dt - target < 0
+        lo, hi = np.where(neg, mid, lo), np.where(neg, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _reference_radial_law(space, tilt=None):
+    """(drift, clock rate, root of x - drift(x) dt = target) on ``space``."""
+    if space is ModelSpace.FLAT:
+        k = (7.0 + 2.0 * (0.0 if tilt is None else tilt)) / 2.0
+        return (lambda r: k / r), (lambda r: 1.0 / (r * r)), (
+            lambda target, dt: 0.5 * (target + np.sqrt(target * target + 4.0 * k * dt)))
+    if space is ModelSpace.PROJECTIVE:
+        def drift(r):
+            return 7.0 / np.tan(2.0 * r)
+
+        def root(target, dt):
+            return _reference_bisect(drift, target, dt, np.full_like(target, math.pi / 2 - 1e-14))
+        return drift, (lambda r: 4.0 / np.sin(2.0 * r) ** 2), root
+    p, q = (3.5, 3.5) if tilt is None else (tilt[0] + 3.5, tilt[1] + 3.5)
+
+    def drift(r):
+        return p / np.tanh(r) + q * np.tanh(r)
+
+    def root(target, dt):
+        hi = np.maximum(np.abs(target) + 1.0, 2.0)
+        while not np.all(up := hi - drift(hi) * dt - target > 0):
+            hi = np.where(up, hi, 2.0 * hi)
+        return _reference_bisect(drift, target, dt, hi)
+    return drift, (lambda r: 4.0 / np.sinh(2.0 * r) ** 2), root
+
+
+def _reference_hi_guard(space):
+    return math.pi / 2 - R_MIN if space is ModelSpace.PROJECTIVE else math.inf
+
+
+def _reference_radial_step(drift, root, r, noise, dt, hi_guard):
+    """Guarded Euler step of r; also returns whether the guard redid a path."""
+    prop = r + drift(r) * dt + noise
+    bad = (prop <= R_MIN) | (prop >= hi_guard)
+    if np.any(bad):
+        prop[bad] = root((r + noise)[bad], dt)
+        if np.any((prop <= R_MIN) | (prop >= hi_guard)):
+            raise SimulationError("radial path left the domain")
+    return prop, bool(np.any(bad))
+
+
+def _reference_radial_batch(space, r0, t_end, dt, n_paths, rng, tilt=None, stop_rate_tol=None):
+    """(r_end, clock_end, t_reached, number of steps on which the guard redid a path)."""
+    drift, clock_of, root = _reference_radial_law(space, tilt)
+    hi_guard = _reference_hi_guard(space)
+    r = np.full(n_paths, float(r0))
+    rate, clock, t_now, redone = clock_of(r), np.zeros(n_paths), 0.0, 0
+    for h in engine._time_steps(t_end, dt):
+        noise = rng.standard_normal(n_paths) * math.sqrt(h)
+        t_now += h
+        r, hit = _reference_radial_step(drift, root, r, noise, h, hi_guard)
+        redone += hit
+        new_rate = clock_of(r)
+        clock += 0.5 * h * (rate + new_rate)
+        rate = new_rate
+        if stop_rate_tol is not None and rate.max() < stop_rate_tol:
+            break
+    return r, clock, t_now, redone
+
+
+@pytest.mark.parametrize("space,r0,t_end,dt,tilt,stop_tol", [
+    (ModelSpace.FLAT, 1.0, 1.0, 1e-3, None, None),
+    (ModelSpace.FLAT, 0.05, 1.0, 2e-2, 1.0, None),
+    (ModelSpace.PROJECTIVE, math.pi / 4, 1.0, 1e-3, None, None),
+    (ModelSpace.PROJECTIVE, 1.56, 1.0, 5e-2, None, None),  # the guard fires
+    (ModelSpace.HYPERBOLIC, 1.0, 1.0, 1e-3, None, None),
+    (ModelSpace.HYPERBOLIC, 0.05, 1.0, 2e-2, (2.0, -8.0), None),
+    (ModelSpace.HYPERBOLIC, 1.0, 50.0, 1e-2, None, 1e-10),  # stops early
+])
+def test_radial_batch_matches_reference_kernel(monkeypatch, space, r0, t_end, dt, tilt, stop_tol):
+    # Count the steps on which the production guard took its mask path.
+    spec, redone = space.spec, []
+
+    def counted_radial(tilt):
+        law, implicit_root = spec.radial(tilt)
+
+        def root(target, dt):
+            redone.append(target.size)
+            return implicit_root(target, dt)
+        return law, root
+    monkeypatch.setitem(geometry.SPACES, space, dataclasses.replace(spec, radial=counted_radial))
+
+    r, clock, t = simulate_radial_batch(space, r0, t_end, dt, 500, make_rng(83, (1,)), tilt=tilt,
+                                        stop_rate_tol=stop_tol)
+    r_ref, clock_ref, t_ref, redone_ref = _reference_radial_batch(space, r0, t_end, dt, 500,
+                                                                  make_rng(83, (1,)), tilt, stop_tol)
+    assert np.array_equal(r, r_ref) and t == t_ref
+    if space is ModelSpace.PROJECTIVE:
+        assert np.max(np.abs(clock - clock_ref) / clock_ref) <= 2e-15
+    else:
+        assert np.array_equal(clock, clock_ref)
+    assert len(redone) == redone_ref
+    if r0 == 1.56:
+        assert redone_ref > 0
+    if stop_tol is not None:
+        assert t < t_end
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +413,10 @@ def test_coordinate_batch_deterministic_and_flat_law():
 #
 # The reference below is the straightforward form of the batch kernel: the
 # winding form through the octonion product, the coefficients through the
-# chart radius and trig functions, and a boolean gather/scatter of the
-# active paths on every step.  The production kernel must draw the same
-# normals and reproduce it to rounding.
+# chart radius and trig functions, a boolean gather/scatter of the active
+# paths on every step, and the reference radial step for the switched paths.
+# The production kernel must draw the same normals and reproduce it to
+# rounding.
 
 def _reference_coefficients(space, wn):
     """(sigma, Ito factor, Stratonovich factor) from r = coord_radius(|w|)."""
@@ -330,19 +449,17 @@ def _reference_radius(space, wn):
 def _reference_coordinate_batch(space, w0, t_end, dt, n_paths, rng, scheme,
                                 r_min=1e-6, max_radial_step=0.5):
     ceiling = space.spec.chart_ceiling
-    drift, implicit_root = space.spec.radial(None)
+    drift, clock_of, root = _reference_radial_law(space)
     lo_guard = r_min
-    hi_guard = (math.pi / 2 - r_min) if space is ModelSpace.PROJECTIVE else math.inf
+    hi_guard = _reference_hi_guard(space)
     w = np.tile(w0, (n_paths, 1))
     zeta = np.zeros((n_paths, 7))
     switched = np.zeros(n_paths, dtype=bool)
     r_sw = np.zeros(n_paths)
     rate_sw = np.zeros(n_paths)
     clock_sw = np.zeros(n_paths)
-    t_now = 0.0
     for h in engine._time_steps(t_end, dt):
         noise = rng.standard_normal((n_paths, 8)) * math.sqrt(h)
-        t_now += h
         act = ~switched
         if np.any(act):
             wa = w[act]
@@ -367,12 +484,11 @@ def _reference_coordinate_batch(space, w0, t_end, dt, n_paths, rng, scheme,
                 r_here = np.clip(ra[bad], lo_guard * 2.0,
                                  hi_guard - lo_guard if math.isfinite(hi_guard) else np.inf)
                 r_sw[idx[bad]] = r_here
-                rate_sw[idx[bad]] = clock_rate(space, r_here)
+                rate_sw[idx[bad]] = clock_of(r_here)
         sw = switched.copy()
         if np.any(sw):
-            r_next = engine._radial_step(drift, implicit_root, r_sw[sw], noise[sw, 0], h,
-                                         hi_guard, t_now)
-            new_rate = clock_rate(space, r_next)
+            r_next, _ = _reference_radial_step(drift, root, r_sw[sw], noise[sw, 0], h, hi_guard)
+            new_rate = clock_of(r_next)
             clock_sw[sw] += 0.5 * h * (rate_sw[sw] + new_rate)
             r_sw[sw] = r_next
             rate_sw[sw] = new_rate

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +57,32 @@ def test_hyperbolic_clock_identity():
     lhs = clock_rate(ModelSpace.HYPERBOLIC, r)
     rhs = 1.0 / np.tanh(r) ** 2 + np.tanh(r) ** 2 - 2.0
     assert np.allclose(lhs, rhs, rtol=1e-12)
+
+
+# Points of each radial domain, with both ends 1e-6 away from a finite end;
+# the hyperbolic clock 4/sinh^2(2r) underflows past r ~ 177.
+_MP_POINTS = {
+    ModelSpace.FLAT: np.geomspace(1e-6, 1e6, 1001),
+    ModelSpace.PROJECTIVE: np.concatenate([np.geomspace(1e-6, 1.0, 500), np.linspace(1.0, 1.5, 500),
+                                           math.pi / 2 - np.geomspace(1e-6, 0.5, 500)]),
+    ModelSpace.HYPERBOLIC: np.geomspace(1e-6, 150.0, 1001),
+}
+_MP_LAW = {
+    ModelSpace.FLAT: (lambda r: mpmath.mpf(7) / (2 * r), lambda r: 1 / r ** 2),
+    ModelSpace.PROJECTIVE: (lambda r: 7 * mpmath.cot(2 * r), lambda r: 4 / mpmath.sin(2 * r) ** 2),
+    ModelSpace.HYPERBOLIC: (lambda r: 7 * mpmath.coth(2 * r), lambda r: 4 / mpmath.sinh(2 * r) ** 2),
+}
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_drift_and_clock_match_mpmath(space):
+    # Against a 40-digit evaluation at the same binary points, to 1e-15 relative.
+    r = _MP_POINTS[space]
+    drift, clock = radial_drift(space, r), clock_rate(space, r)
+    with mpmath.workdps(40):
+        for values, exact in zip((drift, clock), _MP_LAW[space]):
+            want = np.array([float(exact(mpmath.mpf(float(x)))) for x in r])
+            assert np.max(np.abs(values - want) / np.abs(want)) <= 1e-15
 
 
 @pytest.mark.parametrize("space", SPACES)
