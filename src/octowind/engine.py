@@ -112,14 +112,13 @@ def _radial_step(law, implicit_root, r, drift, rate, clock, noise, dt, hi_guard,
     prop = r + drift * dt + noise
     # One reduction per bound on the common path; a NaN fails it and takes the masks.
     if prop.size and not (prop.min() > R_MIN and prop.max() < hi_guard):
-        bad = (prop <= R_MIN) | (prop >= hi_guard)
-        if np.any(bad):
-            prop[bad] = implicit_root((r + noise)[bad], dt)
-            if np.any((prop <= R_MIN) | (prop >= hi_guard)):
-                raise SimulationError(
-                    f"radial path left ({R_MIN:.3g}, {hi_guard:.3g}) at t = {t_now:.6g}",
-                    exit_time=t_now,
-                )
+        bad = ~((prop > R_MIN) & (prop < hi_guard))  # a NaN is outside too
+        prop[bad] = implicit_root((r + noise)[bad], dt)
+        out = np.flatnonzero(~((prop > R_MIN) & (prop < hi_guard)))
+        if out.size:
+            raise SimulationError(
+                f"radial path {out[0]} ({out.size} outside) left ({R_MIN:.3g}, {hi_guard:.3g}) "
+                f"at t = {t_now:.6g}", exit_time=t_now)
     drift, new_rate = law(prop)
     clock += 0.5 * dt * (rate + new_rate)
     return prop, drift, new_rate

@@ -125,6 +125,10 @@ def _hyperbolic_radial(tilt):
 
     def law(r):
         th = np.tanh(r)
+        # sinh(2r)^2 overflows past r ~ 177.6, where the rate is below 1e-307:
+        # sinh(inf) = inf gives it as 0.  One reduction keeps the common path bare.
+        if not r.max(initial=0.0) < 177.5:
+            r = np.where(r >= 177.5, np.inf, r)
         return p / th + q * th, 4.0 / np.sinh(2.0 * r) ** 2
 
     def root(target, dt):

@@ -25,7 +25,7 @@ from .engine import (
     simulate_flat_exact_batch,
     simulate_radial_batch,
 )
-from .errors import ConfigError
+from .errors import ConfigError, SimulationError
 from .geometry import ModelSpace
 
 DEFAULT_BLOCK_SIZE = 25_000
@@ -45,7 +45,10 @@ def default_workers() -> int:
 def _block(job):
     kernel, args, kwargs, seed, i, n, want_winding = job
     rng = make_rng(seed, (i,))
-    fields = kernel(*args, n, rng, **kwargs)
+    try:
+        fields = kernel(*args, n, rng, **kwargs)
+    except SimulationError as exc:
+        raise SimulationError(f"block {i}: {exc}", exit_time=exc.exit_time) from None
     return (*fields, sample_windings_timechange(fields[1], rng)) if want_winding else fields
 
 

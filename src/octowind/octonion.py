@@ -1,16 +1,15 @@
 """Octonion arithmetic and the 7-component winding one-form.
 
 The algebra is generated from the signed multiplication table of the seven
-imaginary units.  All operations are pure functions on immutable values and
-every array-valued helper broadcasts over a leading batch axis, which is what
-the path simulators rely on.
+imaginary units.  Every function works on arrays of components, batched over
+the leading axes, which is what the path simulators rely on;
+``printed_winding`` is the winding form written out coordinate by coordinate,
+an independent check of the kernel.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import DomainError
 
 # Oriented triples (i, j, k) with e_i e_j = e_k; each is cyclic and fully
 # antisymmetric under swaps.
@@ -64,129 +63,7 @@ def _self_test(m: np.ndarray) -> np.ndarray:
 STRUCTURE = _self_test(_build_structure_tensor())
 
 
-class Octonion:
-    """An element of the 8-dimensional normed division algebra.
-
-    Immutable; components are stored as a read-only float array in the basis
-    e0..e7.  ``*`` is the (non-associative) octonion product for two
-    octonions and componentwise scaling for a real factor.
-    """
-
-    __slots__ = ("c",)
-
-    def __init__(self, components):
-        c = np.asarray(components, dtype=float)
-        if c.shape != (8,):
-            raise ValueError(f"expected 8 components, got shape {c.shape}")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "c", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Octonion is immutable")
-
-    @classmethod
-    def basis(cls, j: int) -> "Octonion":
-        c = np.zeros(8)
-        c[j] = 1.0
-        return cls(c)
-
-    @classmethod
-    def zero(cls) -> "Octonion":
-        return cls(np.zeros(8))
-
-    @classmethod
-    def one(cls) -> "Octonion":
-        return cls.basis(0)
-
-    def __repr__(self):
-        return "Octonion(" + ", ".join(f"{v:.6g}" for v in self.c) + ")"
-
-    def __eq__(self, other):
-        return isinstance(other, Octonion) and np.array_equal(self.c, other.c)
-
-    def __hash__(self):
-        return hash(self.c.tobytes())
-
-    def __add__(self, other):
-        return Octonion(self.c + other.c)
-
-    def __sub__(self, other):
-        return Octonion(self.c - other.c)
-
-    def __neg__(self):
-        return Octonion(-self.c)
-
-    def __mul__(self, other):
-        if isinstance(other, Octonion):
-            return mul(self, other)
-        return Octonion(self.c * float(other))
-
-    def __rmul__(self, other):
-        return Octonion(self.c * float(other))
-
-    def __truediv__(self, other):
-        return Octonion(self.c / float(other))
-
-
-def mul(a: Octonion, b: Octonion) -> Octonion:
-    """Octonion product, bilinear in both arguments."""
-    return Octonion(np.einsum("i,j,ijk->k", a.c, b.c, STRUCTURE))
-
-
-def conj(a: Octonion) -> Octonion:
-    """Conjugate: fixes e0, negates e1..e7."""
-    c = a.c.copy()
-    c[1:] = -c[1:]
-    return Octonion(c)
-
-
-def norm_sq(a: Octonion) -> float:
-    """Squared norm, the sum of squared components."""
-    return float(np.dot(a.c, a.c))
-
-
-def norm(a: Octonion) -> float:
-    return float(np.sqrt(norm_sq(a)))
-
-
-def inv(a: Octonion) -> Octonion:
-    """Multiplicative inverse conj(a) / |a|^2 of a nonzero octonion."""
-    n2 = norm_sq(a)
-    if n2 == 0.0:
-        raise DomainError("zero octonion has no inverse")
-    return Octonion(conj(a).c / n2)
-
-
-def imag(a: Octonion) -> np.ndarray:
-    """Imaginary part as a 7-vector (coefficients of e1..e7)."""
-    return a.c[1:].copy()
-
-
-def polar(a: Octonion) -> tuple[float, Octonion]:
-    """Polar decomposition (radius, unit) with a = radius * unit."""
-    r = norm(a)
-    if r == 0.0:
-        raise DomainError("zero octonion has no polar decomposition")
-    return r, Octonion(a.c / r)
-
-
-def winding_form(x: Octonion, v: Octonion) -> np.ndarray:
-    """Winding one-form Im(conj(x) v) / |x|^2 evaluated at (x, v).
-
-    The returned 7-vector records the angular displacement on the unit
-    7-sphere produced by moving from x in direction v.
-    """
-    n2 = norm_sq(x)
-    if n2 == 0.0:
-        raise DomainError("winding form is undefined at the origin")
-    return np.einsum("i,j,ijk->k", conj(x).c, v.c, STRUCTURE)[1:] / n2
-
-
-# ---------------------------------------------------------------------------
-# Batched array versions used by the path simulators.  Shapes are (..., 8)
-# for octonion components and (..., 7) for imaginary vectors.
-
+# Shapes are (..., 8) for octonion components and (..., 7) for imaginary vectors.
 _STRUCTURE_FLAT = STRUCTURE.reshape(8, 64)
 
 
@@ -194,12 +71,6 @@ def mul_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # (a @ S)[..., j, k] contracted against b over j; matmul keeps this BLAS-bound.
     tmp = (a @ _STRUCTURE_FLAT).reshape(a.shape[:-1] + (8, 8))
     return np.matmul(b[..., None, :], tmp)[..., 0, :]
-
-
-def conj_array(a: np.ndarray) -> np.ndarray:
-    out = a.copy()
-    out[..., 1:] = -out[..., 1:]
-    return out
 
 
 def _build_eta_matrix() -> np.ndarray:
@@ -232,3 +103,26 @@ def winding_form_cols(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 def winding_form_array(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Batched winding form on (..., 8) arrays; caller guarantees the base points are nonzero."""
     return winding_form_cols(x.T, v.T).T
+
+
+# Signed coefficient tables of the seven coordinate components of the winding
+# form: entry (i, a, b) is the coefficient of x_a * v_b in eta_{i+1} |x|^2.
+_ETA_TERMS = (
+    ((-1, 1, 0), (1, 0, 1), (1, 3, 2), (-1, 2, 3), (1, 5, 4), (-1, 4, 5), (-1, 7, 6), (1, 6, 7)),
+    ((-1, 2, 0), (-1, 3, 1), (1, 0, 2), (1, 1, 3), (1, 6, 4), (1, 7, 5), (-1, 4, 6), (-1, 5, 7)),
+    ((-1, 3, 0), (1, 2, 1), (-1, 1, 2), (1, 0, 3), (1, 7, 4), (-1, 6, 5), (1, 5, 6), (-1, 4, 7)),
+    ((-1, 4, 0), (-1, 5, 1), (-1, 6, 2), (-1, 7, 3), (1, 0, 4), (1, 1, 5), (1, 2, 6), (1, 3, 7)),
+    ((-1, 5, 0), (1, 4, 1), (-1, 7, 2), (1, 6, 3), (-1, 1, 4), (1, 0, 5), (-1, 3, 6), (1, 2, 7)),
+    ((-1, 6, 0), (1, 7, 1), (1, 4, 2), (-1, 5, 3), (-1, 2, 4), (1, 3, 5), (1, 0, 6), (-1, 1, 7)),
+    ((-1, 7, 0), (-1, 6, 1), (1, 5, 2), (1, 4, 3), (-1, 3, 4), (-1, 2, 5), (1, 1, 6), (1, 0, 7)),
+)
+
+
+def printed_winding(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The seven explicit coordinate expressions for the winding form."""
+    n2 = np.sum(x * x, axis=-1)
+    out = np.zeros(x.shape[:-1] + (7,))
+    for i, terms in enumerate(_ETA_TERMS):
+        for sign, a, b in terms:
+            out[..., i] += sign * x[..., a] * v[..., b]
+    return out / n2[..., None]

@@ -32,8 +32,8 @@ class GaussTestReport:
     passed: bool
 
 
-def _gather(result) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """(zeta (n, 7), clock (n,) or None) of a batched result."""
+def _gather(result) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """(zeta (n, 7) or None, clock (n,) or None) of a batched result."""
     zeta = result.zeta
     clock = getattr(result, "clock_end", None)
     if zeta is None and clock is None:
@@ -41,7 +41,7 @@ def _gather(result) -> tuple[np.ndarray, Optional[np.ndarray]]:
     n = len(zeta) if zeta is not None else len(clock)
     if n == 0:
         raise DomainError("empty result")
-    return (zeta if zeta is not None else np.zeros((n, 7))), clock
+    return zeta, clock
 
 
 def mc_charfn(result, lam) -> McEstimate:
@@ -83,6 +83,8 @@ def gaussian_test(
     sample covariance must match the target within the stated tolerances.
     """
     zeta, _ = _gather(result)
+    if zeta is None:
+        raise DomainError("gaussian_test needs winding samples")
     if len(zeta) < 100:
         raise DomainError("gaussian_test needs at least 100 samples")
     target_cov = np.asarray(target_cov, dtype=float)

@@ -14,9 +14,8 @@ import pytest
 from scipy.stats import ks_2samp
 
 from octowind import engine, mc, specfun, stats
-from octowind.cli import _printed_winding
 from octowind.geometry import ModelSpace, coord_norm
-from octowind.octonion import mul_array, winding_form_array
+from octowind.octonion import mul_array, printed_winding, winding_form_array
 
 from conftest import record_criterion
 
@@ -44,7 +43,7 @@ def test_criterion_1_algebra():
     ) / scale
 
     v = rng.standard_normal((10_000, 8))
-    eta_dev = float(np.abs(winding_form_array(xs, v) - _printed_winding(xs, v)).max())
+    eta_dev = float(np.abs(winding_form_array(xs, v) - printed_winding(xs, v)).max())
 
     passed = norm_dev < 1e-12 and alt_dev < 1e-12 and eta_dev < 1e-12
     record_criterion(1, passed,

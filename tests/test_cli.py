@@ -308,5 +308,9 @@ def test_verify_all_passes(tmp_path, capsys):
     report = json.loads(report_path.read_text())
     assert report["pass"] is True
     assert set(report["suites"]) == {"algebra", "engine", "specfun"}
+    algebra = report["suites"]["algebra"]
+    assert [c["name"] for c in algebra] == ["norm_multiplicativity", "alternativity", "non_associativity_witness",
+                                            "winding_form_coordinates", "winding_form_self_vanishes"]
+    assert all(c["passed"] for c in algebra)
     out = capsys.readouterr().out
     assert "norm_multiplicativity: pass" in out

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from octowind.engine import (
 )
 from octowind.errors import DomainError, SimulationError
 from octowind.geometry import R_MIN, ModelSpace
-from octowind.octonion import conj_array, mul_array
+from octowind.octonion import mul_array
 
 
 class ZeroNoise:
@@ -192,6 +193,16 @@ def test_radial_batch_early_stop():
         ModelSpace.HYPERBOLIC, 1.0, 50.0, 1e-2, 200, rng, stop_rate_tol=1e-10
     )
     assert t_reached < 50.0  # all paths escaped; stepping stopped early
+
+
+def test_hyperbolic_clock_underflows_without_warning():
+    # Without an early stop, paths pass r ~ 178, where sinh(2r)^2 overflows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r, clock, _ = simulate_radial_batch(ModelSpace.HYPERBOLIC, 1.0, 60.0, 1e-2, 10, make_rng(1))
+        rates = geometry.clock_rate(ModelSpace.HYPERBOLIC, np.array([200.0, 400.0]))
+    assert r.max() > 178 and np.all(np.isfinite(clock))
+    assert np.all(np.isfinite(rates)) and np.all(rates >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +457,10 @@ def _reference_radius(space, wn):
     return np.arctan(wn) if space is ModelSpace.PROJECTIVE else wn.copy()
 
 
+# Conjugation e0..e7 -> e0, -e1..-e7 as a sign vector.
+_CONJ = np.array([1.0] + [-1.0] * 7)
+
+
 def _reference_coordinate_batch(space, w0, t_end, dt, n_paths, rng, scheme,
                                 r_min=1e-6, max_radial_step=0.5):
     ceiling = space.spec.chart_ceiling
@@ -477,7 +492,7 @@ def _reference_coordinate_batch(space, w0, t_end, dt, n_paths, rng, scheme,
             if np.any(good):
                 mid = 0.5 * (wa[good] + w_new[good])
                 n2 = np.sum(mid * mid, axis=1)
-                zeta[idx[good]] += mul_array(conj_array(mid), dw[good])[:, 1:] / n2[:, None]
+                zeta[idx[good]] += mul_array(_CONJ * mid, dw[good])[:, 1:] / n2[:, None]
                 w[idx[good]] = w_new[good]
             if np.any(bad):
                 switched[idx[bad]] = True

@@ -1,11 +1,14 @@
-"""Block runner: worker-count independence and the OCTOWIND_WORKERS setting."""
+"""Block runner: worker-count independence, failing blocks and the OCTOWIND_WORKERS setting."""
+
+import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from octowind import mc
-from octowind.errors import ConfigError
-from octowind.geometry import ModelSpace, coord_norm
+from octowind import geometry, mc
+from octowind.errors import ConfigError, SimulationError
+from octowind.geometry import R_MIN, ModelSpace, coord_norm
 
 
 def _assert_same_arrays(a, b):
@@ -28,6 +31,27 @@ def test_radial_mc_independent_of_worker_count():
     runs = [mc.run_radial_mc(ModelSpace.HYPERBOLIC, 1.0, 0.2, 1e-3, 90, seed=32, want_winding=True,
                              block_size=40, workers=workers) for workers in (1, 2)]
     _assert_same_arrays(*runs)
+
+
+@pytest.mark.parametrize("landing", [R_MIN / 2, np.nan])
+def test_radial_guard_failure_names_block_path_and_time(monkeypatch, landing):
+    # An implicit root that lands below the floor, or on NaN, leaves the redone
+    # proposal outside the domain, which must stop the run rather than yield
+    # paths that are silently wrong.
+    spec = geometry.SPACES[ModelSpace.PROJECTIVE]
+
+    def broken_radial(tilt):
+        law, _ = spec.radial(tilt)
+        return law, lambda target, dt: np.full_like(target, landing)
+    monkeypatch.setitem(geometry.SPACES, ModelSpace.PROJECTIVE, dataclasses.replace(spec, radial=broken_radial))
+
+    with pytest.raises(SimulationError) as info:
+        mc.run_radial_mc(ModelSpace.PROJECTIVE, 1.56, 1.0, 5e-2, 200, seed=83, block_size=100, workers=1)
+    match = re.fullmatch(r"block 0: radial path (\d+) \((\d+) outside\) left \(1e-06, 1\.57\) at t = (\S+)",
+                         str(info.value))
+    assert match, str(info.value)
+    assert int(match[1]) < 100 and 1 <= int(match[2]) <= 100
+    assert info.value.exit_time == float(match[3]) > 0
 
 
 def test_default_workers_reads_environment(monkeypatch):

@@ -70,6 +70,11 @@ def test_gaussian_test_rejects_wrong_variance(rng):
     assert not rep.passed
 
 
+def test_gaussian_test_needs_windings():
+    with pytest.raises(DomainError):
+        stats.gaussian_test(SimpleNamespace(zeta=None, clock_end=np.ones(200)), np.eye(7))
+
+
 def test_gaussian_test_needs_enough_samples(rng):
     zeta = rng.standard_normal((50, 7))
     with pytest.raises(DomainError):
