@@ -205,8 +205,8 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
     if cfg.w0 is not None:
         path = engine.simulate_coordinate(sim)
         header = ["time"] + [f"c{i}" for i in range(8)] + [f"zeta{i}" for i in range(1, 8)]
-        rows = (
-            [t] + list(map(float, w)) + list(map(float, z))
+        rows = (  # no coordinates once the path has switched to the skew product
+            [t] + (list(map(float, w)) if np.isfinite(w[0]) else [""] * 8) + list(map(float, z))
             for t, w, z in zip(path.times, path.w, path.zeta)
         )
         print(f"coordinate path: t_end={path.times[-1]:.6g} |zeta|={float(np.linalg.norm(path.zeta[-1])):.6g}")

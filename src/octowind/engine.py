@@ -100,7 +100,7 @@ class CoordinatePath:
 
     space: ModelSpace
     times: np.ndarray
-    w: np.ndarray      # (n_steps + 1, 8)
+    w: np.ndarray      # (n_steps + 1, 8); NaN from the switch to the skew product on
     zeta: np.ndarray   # (n_steps + 1, 7)
 
 
@@ -252,19 +252,21 @@ def simulate_coordinate(cfg: SimConfig, rng: Optional[np.random.Generator] = Non
     """One coordinate trajectory with its running line-integral winding: the
     batch kernel with one path, every step kept.
 
-    Raises :class:`SimulationError` where the batch simulator would switch
-    the path to the skew-product representation.
+    A path that meets the switch rule continues on the skew-product route as
+    in the batch: from the step where it switched, its rows of ``w`` are NaN
+    and ``zeta`` holds the winding at the switch, and the last row adds the
+    N(0, A I_7) draw for the clock A accrued since, so the final winding is
+    that of :func:`simulate_coordinate_batch` with one path.
     """
     if cfg.w0 is None:
         raise DomainError("coordinate simulation needs w0")
     rng = make_rng(cfg.seed) if rng is None else rng
     zeta, states = np.zeros((1, 7)), []
+    off_chart = np.full(8, np.nan)
     for t, idx, w, z in _coordinate_states(cfg.space, cfg.w0, cfg.t_end, cfg.dt, 1, rng, cfg.scheme, zeta):
-        if not idx.size:
-            raise SimulationError(f"coordinate path left the chart in the step to t = {t:.6g}; "
-                                  "the batch simulator would continue it on the radial route", exit_time=t)
-        states.append((t, w[:, 0], z[:, 0].copy()))
+        states.append((t, w[:, 0], z[:, 0].copy()) if idx.size else (t, off_chart, zeta[0].copy()))
     times, w_hist, z_hist = (np.array(col) for col in zip(*states))
+    z_hist[-1] = zeta[0]
     return CoordinatePath(cfg.space, times, w_hist, z_hist)
 
 

@@ -67,7 +67,8 @@ def _run_blocks(kernel, args, n_paths, seed, block_size, workers, want_winding=F
     if workers <= 1 or len(jobs) <= 1:
         parts = [_block(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # A fork pool starts all its workers at once; more than one per block would idle.
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             parts = list(pool.map(_block, jobs))
     return [np.concatenate(field) if np.ndim(field[0]) else np.array(field) for field in zip(*parts)]
 

@@ -3,15 +3,16 @@
 Contains the modified Bessel function of real order, the Hartman-Watson
 conditional Laplace transform, the finite-time flat-space transform by
 quadrature, the three limiting characteristic functions, and the hyperbolic
-moment cascade under the tilted measure.
+moment cascade under the tilted measure.  SciPy is imported by the three
+functions that call it, so the other closed forms run without loading it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import DomainError, QuadratureError
 
@@ -40,6 +41,8 @@ def bessel_i(nu: float, x: float) -> float:
 
     Raises QuadratureError where the value overflows a double (x beyond ~713).
     """
+    from scipy import special
+
     nu = float(nu)
     x = float(x)
     if nu < 0 or x < 0:
@@ -53,16 +56,54 @@ def bessel_i(nu: float, x: float) -> float:
 def hartman_watson_ratio(lambda_norm: float, rho: float, r: float, t: float) -> float:
     """Conditional transform E[exp(-|lambda|^2 A_t / 2) | R(t) = r].
 
-    Equals I_nu(rho r / t) / I_3(rho r / t) with nu = sqrt(9 + |lambda|^2);
-    lies in (0, 1] because the order nu is at least 3.
+    Equals I_nu(z) / I_3(z) at z = rho r / t with nu = sqrt(9 + |lambda|^2);
+    lies in (0, 1] because the order nu is at least 3 (a value below the
+    smallest double rounds to 0).  The exponentially scaled Bessel functions
+    give it wherever both are normal doubles; below that (small z) it comes
+    from the power series in log space, and where they are NaN (z >= 2^30)
+    from the Hankel expansion.
     """
+    from scipy import special
+
     if rho <= 0 or r <= 0 or t <= 0:
         raise DomainError("hartman_watson_ratio requires positive rho, r, t")
     nu = order_from_lambda(lambda_norm)
     z = rho * r / t
     if nu == 3.0:
         return 1.0
-    return float(special.ive(nu, z) / special.ive(3.0, z))
+    num, den = special.ive(nu, z), special.ive(3.0, z)
+    if num >= sys.float_info.min and den >= sys.float_info.min:
+        return float(num / den)
+    if math.isnan(num) or math.isnan(den):
+        return _hankel_sum(nu, z) / _hankel_sum(3.0, z)
+    if z == 0.0:  # rho r / t underflowed; the ratio's limit
+        return 0.0
+    log_ratio = ((nu - 3.0) * math.log(0.5 * z) + math.lgamma(4.0) - math.lgamma(nu + 1.0)
+                 + math.log(_power_sum(nu, z) / _power_sum(3.0, z)))
+    return math.exp(log_ratio)
+
+
+def _power_sum(nu: float, z: float) -> float:
+    """I_nu(z) / ((z/2)^nu / Gamma(nu + 1)), summed from its power series."""
+    q = 0.25 * z * z
+    term = total = 1.0
+    k = 0
+    while term > 1e-17 * total:
+        k += 1
+        term *= q / (k * (nu + k))
+        total += term
+    return total
+
+
+def _hankel_sum(nu: float, z: float) -> float:
+    """sqrt(2 pi z) exp(-z) I_nu(z) from the first terms of Hankel's large-z
+    expansion; accurate to rounding for z >= 2^30 and nu up to ~1e3."""
+    mu = 4.0 * nu * nu
+    term = total = 1.0
+    for k in range(1, 6):
+        term *= -(mu - (2 * k - 1) ** 2) / (8.0 * k * z)
+        total += term
+    return total
 
 
 def _as_lambda_norm(lam) -> float:
@@ -81,6 +122,8 @@ def flat_laplace(rho: float, t: float, lambda_norm: float) -> float:
     c = rho / sqrt(t).  The exponentially scaled Bessel function absorbs the
     prefactor exp(-rho^2 / 2t), so no factor overflows for small t.
     """
+    from scipy import integrate, special
+
     if rho <= 0 or t <= 0:
         raise DomainError("flat_laplace requires rho > 0 and t > 0")
     nu = order_from_lambda(_as_lambda_norm(lambda_norm))

@@ -1,7 +1,8 @@
 """Monte Carlo estimators and distributional tests for winding samples.
 
 Estimators take a batched result of the drivers in :mod:`octowind.mc`: an
-object with ``zeta`` (n, 7) and, optionally, ``clock_end`` (n,).
+object with ``zeta`` (n, 7) and, optionally, ``clock_end`` (n,).  SciPy is
+imported by the three functions that call it; :func:`mc_charfn` runs without it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, stats as spstats
 
 from .errors import DomainError
 from .geometry import ModelSpace
@@ -82,6 +82,8 @@ def gaussian_test(
     compared to the standard normal CDF by a one-sample KS statistic; the
     sample covariance must match the target within the stated tolerances.
     """
+    from scipy import stats as spstats
+
     zeta, _ = _gather(result)
     if zeta is None:
         raise DomainError("gaussian_test needs winding samples")
@@ -116,6 +118,8 @@ def gaussian_test(
 
 def stationary_mean_clock_rate() -> float:
     """Mean of the clock rate under the projective stationary law (quadrature)."""
+    from scipy import integrate
+
     law = ModelSpace.PROJECTIVE.spec.radial(None)[0]
     norm, _ = integrate.quad(lambda u: math.sin(2 * u) ** 7, 0.0, math.pi / 2, epsabs=1e-14, epsrel=1e-13)
     val, _ = integrate.quad(lambda u: float(law(u)[1]) * math.sin(2 * u) ** 7,
@@ -128,6 +132,8 @@ def stationary_density_check(radial_samples, space: ModelSpace) -> float:
 
     Only the projective space has a stationary radial law.
     """
+    from scipy import integrate, stats as spstats
+
     if space is not ModelSpace.PROJECTIVE:
         raise DomainError("stationary density check applies to the projective space only")
     samples = np.asarray(radial_samples, dtype=float)

@@ -1,6 +1,10 @@
 """CLI harness: config validation, artifacts, reproducibility, verify suites."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +119,19 @@ def test_simulate_coordinate_csv(tmp_path):
     data = np.loadtxt(out, delimiter=",", skiprows=2)
     assert data.shape == (51, 16)
     assert np.all(data[0, 9:] == 0.0)  # winding starts at zero
+
+
+def test_simulate_coordinate_past_the_switch(tmp_path, capsys):
+    out = tmp_path / "h.csv"
+    argv = ["simulate", "--space", "hyperbolic", "--t", "5", "--w0", "0.7,0,0,0,0,0,0,0", "--out", str(out)]
+    assert _run(argv) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert len(rows) == 5001
+    switched = [row[1] == "" for row in rows]
+    first = switched.index(True)
+    assert not any(switched[:first]) and all(switched[first:])
+    assert all(row[1:9] == [""] * 8 for row in rows[first:])
+    assert rows[first][9:] == rows[first - 1][9:] == rows[-2][9:] != rows[-1][9:]
 
 
 def test_charfn_flat_matches_quadrature(tmp_path, capsys):
@@ -314,3 +331,40 @@ def test_verify_all_passes(tmp_path, capsys):
     assert all(c["passed"] for c in algebra)
     out = capsys.readouterr().out
     assert "norm_multiplicativity: pass" in out
+
+
+# ---------------------------------------------------------------------------
+# Cold start: SciPy is imported only by the functions that call it
+
+def _modules_after(tmp_path, argvs) -> set:
+    """sys.modules of a fresh interpreter that imported octowind.cli from this
+    checkout and ran ``cli.main`` on each argv."""
+    script = ("import json, sys\nfrom octowind import cli\n"
+              f"for argv in {argvs!r}:\n    assert cli.main(argv) == 0, argv\n"
+              "print(json.dumps(sorted(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_cold_start_without_scipy(tmp_path):
+    modules = _modules_after(tmp_path, [
+        ["simulate", "--space", "flat", "--t", "0.01", "--r0", "1", "--out", "r.csv"],
+        ["simulate", "--space", "projective", "--t", "0.01", "--w0", "0.5,0,0,0,0,0,0,0", "--out", "c.csv"],
+        ["charfn", "--space", "projective", "--t", "0.05", "--paths", "100", "--out", "p.csv"],
+        ["charfn", "--space", "hyperbolic", "--t", "0.05", "--paths", "100", "--out", "h.csv"],
+    ])
+    assert "octowind.cli" in modules
+    assert "scipy" not in modules
+
+
+def test_flat_closed_forms_load_scipy_without_stats(tmp_path):
+    modules = _modules_after(tmp_path, [
+        ["charfn", "--space", "flat", "--t", "0.05", "--paths", "100", "--out", "f.csv"],
+        ["table", "--space", "flat", "--t-values", "1e3", "--out", "t.csv"],
+        ["verify", "--suite", "all", "--out", "v.json"],
+    ])
+    assert {"scipy.special", "scipy.integrate"} <= modules
+    assert "scipy.stats" not in modules

@@ -386,15 +386,23 @@ def test_coordinate_zero_noise_first_order_convergence():
     assert 1.5 < ratio < 2.5
 
 
-def test_coordinate_chart_exit_raises():
-    # Deterministic outward drift crosses the hyperbolic chart ceiling in
-    # finite time; the single-path simulator must refuse to continue.
-    cfg = SimConfig(space=ModelSpace.HYPERBOLIC, t_end=4.0, dt=1e-3,
-                    w0=_w0(ModelSpace.HYPERBOLIC, 1.0), scheme=EULER_MARUYAMA)
-    with pytest.raises(SimulationError) as exc:
-        simulate_coordinate(cfg, rng=ZeroNoise())
-    assert exc.value.exit_time is not None
-    assert 0.0 < exc.value.exit_time < 4.0
+def test_coordinate_path_continues_past_the_switch():
+    # The outward drift carries the hyperbolic path to the chart ceiling near
+    # t = 2.25; the single path then finishes on the skew product as the batch does.
+    w0 = np.zeros(8)
+    w0[0] = 0.7
+    cfg = SimConfig(space=ModelSpace.HYPERBOLIC, t_end=5.0, dt=1e-3, w0=w0)
+    path = simulate_coordinate(cfg)
+    z, k = simulate_coordinate_batch(cfg.space, w0, cfg.t_end, cfg.dt, 1, make_rng(cfg.seed))
+    assert k == 1
+    assert len(path.times) == 5001 and path.times[-1] == pytest.approx(5.0)
+    on_chart = np.isfinite(path.w).all(axis=1)
+    switch = int(np.argmin(on_chart))
+    assert 2.0 < path.times[switch] < 2.5
+    assert on_chart[:switch].all() and np.isnan(path.w[switch:]).all()
+    assert (path.zeta[switch:-1] == path.zeta[switch - 1]).all()
+    assert np.array_equal(path.zeta[-1], z[0])
+    assert not np.array_equal(path.zeta[-1], path.zeta[-2])
 
 
 def test_coordinate_deterministic():

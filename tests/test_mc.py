@@ -33,6 +33,30 @@ def test_radial_mc_independent_of_worker_count():
     _assert_same_arrays(*runs)
 
 
+def test_pool_has_at_most_one_worker_per_block(monkeypatch):
+    # The stub runs the blocks in this process and records the pool size asked for.
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", InProcessPool)
+    runs = [mc.run_radial_mc(ModelSpace.FLAT, 1.0, 0.05, 1e-3, 80, seed=33, want_winding=True,
+                             block_size=40, workers=workers) for workers in (1, 64)]
+    assert sizes == [2]
+    _assert_same_arrays(*runs)
+
+
 @pytest.mark.parametrize("landing", [R_MIN / 2, np.nan])
 def test_radial_guard_failure_names_block_path_and_time(monkeypatch, landing):
     # An implicit root that lands below the floor, or on NaN, leaves the redone

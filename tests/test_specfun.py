@@ -68,6 +68,28 @@ def test_hartman_watson_basic():
         specfun.hartman_watson_ratio(1.0, 0.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("z", [1e-150, 1e-100, 1e-3, 1.0, 1e3, 2e9, 1e12])
+@pytest.mark.parametrize("ln", [0.5, 1.0, 2.0, 5.0])
+def test_hartman_watson_ratio_vs_mpmath(ln, z):
+    # Below z ~ 1e-100 the scaled Bessel functions underflow, and from
+    # z = 2^30 on scipy returns NaN; the ratio must stay finite and in [0, 1].
+    from scipy import special
+
+    nu = specfun.order_from_lambda(ln)
+    with mpmath.workdps(40):
+        ref = float(mpmath.besseli(nu, z) / mpmath.besseli(3, z))
+    got = specfun.hartman_watson_ratio(ln, z, 1.0, 1.0)
+    assert math.isfinite(got) and 0.0 <= got <= 1.0
+    assert abs(got - ref) <= 1e-12 * ref
+    if 1e-3 <= z <= 1e3:
+        assert got == float(special.ive(nu, z) / special.ive(3.0, z))
+
+
+def test_hartman_watson_ratio_at_an_underflowed_argument():
+    assert specfun.hartman_watson_ratio(1.0, 1e-200, 1e-200, 1.0) == 0.0
+    assert 0.0 < specfun.hartman_watson_ratio(0.5, 1e-200, 1.0, 1.0) < 1e-8
+
+
 def test_flat_laplace_normalization_and_monotonicity():
     assert specfun.flat_laplace(1.0, 10.0, 0.0) == pytest.approx(1.0, abs=1e-8)
     vals = [specfun.flat_laplace(1.0, 10.0, ln) for ln in (0.0, 0.5, 1.0, 2.0)]
