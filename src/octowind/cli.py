@@ -56,6 +56,7 @@ class ExperimentConfig:
         the output location is not part of it."""
         d = dataclasses.asdict(self)
         del d["out"]
+        d["workers"] = 1  # results do not depend on the worker count, so neither does the hash
         if t_values is not None:
             d["t_values"] = t_values
         d["space"] = self.space.value
@@ -65,73 +66,55 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-_KNOWN_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+def _floats(value) -> list[float]:
+    """A list of numbers, or comma-separated text of them."""
+    return [float(v) for v in (value.split(",") if isinstance(value, str) else value) if str(v).strip()]
+
+
+#: Every config key: its flag, the converter of a flag or file value, and the expected form
+#: that --help shows and a failed conversion names; the layer that uses a value checks its range.
+_KEYS = {
+    "space": ("--space", lambda v: ModelSpace.parse(str(v)), "flat, projective or hyperbolic"),
+    "t_end": ("--t", float, "a finite number >= dt"),
+    "dt": ("--dt", float, "a number > 0"),
+    "n_paths": ("--paths", int, "an integer >= 1"),
+    "r0": ("--r0", float, "a number inside the radial domain"),
+    "w0": ("--w0", lambda v: np.array(_floats(v)), "8 comma-separated numbers"),
+    "lambda_norms": ("--lambda-norm", _floats, "comma-separated |lambda| values >= 0"),
+    "seed": ("--seed", int, "an integer >= 0"),
+    "out": ("--out", str, "output CSV path"),
+    "scheme": ("--scheme", str, " or ".join(SCHEMES)),
+    "workers": ("--workers", int, "an integer >= 1"),
+    "block_size": ("--block-size", int, "an integer >= 1"),
+}
+
+
+def _convert(key: str, value, convert, form: str, violations: list):
+    """``convert(value)``, or None with the violation listed."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        violations.append(f"{key} = {value!r}; expected {form}")
 
 
 def _validate(raw: dict, violations=()) -> ExperimentConfig:
     violations = list(violations)  # those the caller found come first
+    violations += [f"unknown key {key!r}" for key in sorted(set(raw) - set(_KEYS))]
     cfg = ExperimentConfig()
-    unknown = set(raw) - _KNOWN_KEYS
-    for key in sorted(unknown):
-        violations.append(f"unknown key {key!r}")
-    known = {k: v for k, v in raw.items() if k in _KNOWN_KEYS}
-
-    def number(key, cast, default):
-        if key not in known:
-            return default
-        try:
-            return cast(known[key])
-        except (TypeError, ValueError):
-            violations.append(f"{key} = {known[key]!r} is not a valid {cast.__name__}")
-            return default
-
-    def numbers(key):
-        vals = known[key]
-        if isinstance(vals, str):
-            vals = [v for v in vals.split(",") if v.strip()]
-        try:
-            return [float(v) for v in vals]
-        except (TypeError, ValueError):
-            violations.append(f"{key} = {known[key]!r}; expected comma-separated numbers")
-
-    if "space" in known:
-        try:
-            cfg.space = ModelSpace.parse(str(known["space"]))
-        except OctowindError:
-            violations.append(f"space = {known['space']!r}; expected flat, projective or hyperbolic")
-    cfg.t_end = number("t_end", float, cfg.t_end)
-    cfg.dt = number("dt", float, cfg.dt)
-    cfg.n_paths = number("n_paths", int, cfg.n_paths)
-    cfg.seed = number("seed", int, cfg.seed)
-    if "workers" in known:
-        cfg.workers = number("workers", int, cfg.workers)
-    else:
+    for key, (_, convert, form) in _KEYS.items():
+        if key in raw:
+            value = _convert(key, raw[key], convert, form, violations)
+            if value is not None or key == "r0":  # an unreadable r0 leaves no start point
+                setattr(cfg, key, value)
+    if "workers" not in raw:
         try:
             cfg.workers = mc.default_workers()
         except ConfigError as exc:
             violations.extend(exc.violations)
-    cfg.block_size = number("block_size", int, cfg.block_size)
-    if "r0" in known:
-        cfg.r0 = number("r0", float, None)
-    if "out" in known:
-        cfg.out = str(known["out"])
-    if "scheme" in known:
-        cfg.scheme = str(known["scheme"])
-    if "lambda_norms" in known and (vals := numbers("lambda_norms")) is not None:
-        cfg.lambda_norms = vals
-    if "w0" in known and (vals := numbers("w0")) is not None:
-        cfg.w0 = np.array(vals)
-
     violations += engine.sim_problems(cfg.space, cfg.t_end, cfg.dt, cfg.scheme, cfg.r0, cfg.w0)
-    if cfg.n_paths < 1:
-        violations.append(f"n_paths = {cfg.n_paths} violates n_paths >= 1")
-    if cfg.workers < 1:
-        violations.append(f"workers = {cfg.workers} violates workers >= 1")
-    if cfg.block_size < 1:
-        violations.append(f"block_size = {cfg.block_size} violates block_size >= 1")
-    if any(l < 0 for l in cfg.lambda_norms):
-        violations.append("lambda_norms must be nonnegative")
-
+    violations += mc.run_problems(cfg.n_paths, cfg.block_size, cfg.workers, cfg.seed)
+    violations += [f"lambda_norms entry {v!r} violates 0 <= |lambda| < inf"
+                   for v in cfg.lambda_norms if not 0 <= v < math.inf]
     if violations:
         raise ConfigError(violations)
     return cfg
@@ -384,18 +367,8 @@ def _add_common(p: argparse.ArgumentParser):
     # Values stay strings: _validate converts them as it does a config file's,
     # so a malformed flag is one more listed violation.
     p.add_argument("--config", help="JSON or key=value config file; flags override it")
-    p.add_argument("--space", help="flat, projective or hyperbolic")
-    p.add_argument("--t", dest="t_end")
-    p.add_argument("--dt")
-    p.add_argument("--paths", dest="n_paths")
-    p.add_argument("--r0")
-    p.add_argument("--w0", help="8 comma-separated components")
-    p.add_argument("--lambda-norm", dest="lambda_norms", help="comma-separated |lambda| values")
-    p.add_argument("--seed")
-    p.add_argument("--out", help="output CSV path")
-    p.add_argument("--scheme", help=" or ".join(SCHEMES))
-    p.add_argument("--workers")
-    p.add_argument("--block-size", dest="block_size")
+    for key, (flag, _, form) in _KEYS.items():
+        p.add_argument(flag, dest=key, help=form)
 
 
 def _resolve(args) -> ExperimentConfig:
@@ -403,20 +376,14 @@ def _resolve(args) -> ExperimentConfig:
         raw = _read(Path(args.config).read_text()) if args.config else {}
     except OSError as exc:
         raise ConfigError([f"config file {args.config!r}: {exc.strerror}"]) from None
-    for key in _KNOWN_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            raw[key] = val
+    raw.update({key: val for key in _KEYS if (val := getattr(args, key)) is not None})
     problems = []
     if args.command != "simulate" and "w0" in raw:
         problems.append(f"w0 is for simulate only; {args.command} starts from r0")
     if args.command == "table":
-        try:
-            args.t_values = [float(v) for v in args.t_values.split(",") if v.strip()]
-            problems += [f"t_values entry {t!r} violates 0 < t < inf"
-                         for t in args.t_values if not 0 < t < math.inf]
-        except ValueError:
-            problems.append(f"t_values = {args.t_values!r}; expected comma-separated numbers")
+        args.t_values = _convert("t_values", args.t_values, _floats, "comma-separated numbers", problems)
+        problems += [f"t_values entry {t!r} violates 0 < t < inf"
+                     for t in args.t_values or () if not 0 < t < math.inf]
     return _validate(raw, problems)
 
 

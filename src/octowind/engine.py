@@ -43,13 +43,14 @@ def make_rng(seed: int, stream: tuple[int, ...] = ()) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed), spawn_key=tuple(stream))))
 
 
-def sim_problems(space: ModelSpace, t_end: float, dt: float, scheme: str, r0=None, w0=None) -> list[str]:
+def sim_problems(space: ModelSpace, t_end: float, dt: float, scheme: str = STRATONOVICH_HEUN,
+                 r0=None, w0=None) -> list[str]:
     """Every reason why these parameters cannot define a path simulation."""
     problems = [] if w0 is None or np.shape(w0) == (8,) else ["w0 must have 8 components"]
     if not dt > 0:
         problems.append(f"dt = {dt} violates dt > 0")
-    elif not t_end >= dt:
-        problems.append(f"t_end = {t_end} violates t_end >= dt")
+    elif not dt <= t_end < math.inf:
+        problems.append(f"t_end = {t_end} violates dt <= t_end < inf")
     if scheme not in SCHEMES:
         problems.append(f"scheme = {scheme!r}; expected one of {SCHEMES}")
     if r0 is None and w0 is None:
@@ -140,7 +141,7 @@ def _radial_states(space: ModelSpace, r0: float, t_end: float, dt: float, n_path
                    rng: np.random.Generator, tilt=None, stop_rate_tol: Optional[float] = None):
     """The radial batch kernel: yields (t, r, clock) at t = 0 and after every
     step.  The clock is accumulated by the trapezoidal rule, in place."""
-    _require(start_problems(space, r0=r0))
+    _require(sim_problems(space, t_end, dt, r0=r0))
     law, implicit_root = space.spec.radial(tilt)
     hi_guard = space.spec.r_hi - R_MIN
     r = np.full(n_paths, float(r0))
@@ -281,7 +282,7 @@ def _coordinate_states(space: ModelSpace, w0: np.ndarray, t_end: float, dt: floa
     arrays are gathered again, and the partial windings of the paths that
     leave are written to ``zeta``, only on a step where some path switches.
     """
-    _require(start_problems(space, w0=w0))
+    _require(sim_problems(space, t_end, dt, scheme, w0=w0))
     spec = space.spec
     law, implicit_root = spec.radial(None)
     hi_guard = spec.r_hi - R_MIN

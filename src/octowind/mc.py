@@ -9,7 +9,6 @@ order-independent because blocks are always concatenated by index.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,7 +24,7 @@ from .engine import (
     simulate_flat_exact_batch,
     simulate_radial_batch,
 )
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, DomainError, SimulationError
 from .geometry import ModelSpace
 
 DEFAULT_BLOCK_SIZE = 25_000
@@ -40,6 +39,13 @@ def default_workers() -> int:
         except ValueError:
             raise ConfigError([f"OCTOWIND_WORKERS = {env!r} is not an integer"]) from None
     return 1
+
+
+def run_problems(n_paths: int, block_size: int, workers: int, seed: int) -> list[str]:
+    """Every reason why these settings cannot define a block run."""
+    return [f"{name} = {value} violates {name} >= {low}"
+            for name, value, low in (("n_paths", n_paths, 1), ("block_size", block_size, 1),
+                                     ("workers", workers, 1), ("seed", seed, 0)) if not value >= low]
 
 
 def _block(job):
@@ -61,12 +67,18 @@ def _run_blocks(kernel, args, n_paths, seed, block_size, workers, want_winding=F
     second field, the clock, on the same stream; they come last.
     """
     workers = default_workers() if workers is None else workers
+    problems = run_problems(n_paths, block_size, workers, seed)
+    if problems:
+        raise DomainError("; ".join(problems))
     full, rem = divmod(n_paths, block_size)
     sizes = [block_size] * full + ([rem] if rem else [])
     jobs = [(kernel, args, kwargs, seed, i, n, want_winding) for i, n in enumerate(sizes)]
     if workers <= 1 or len(jobs) <= 1:
         parts = [_block(job) for job in jobs]
     else:
+        # Imported here so that an in-process run never loads the pool module.
+        from concurrent.futures import ProcessPoolExecutor
+
         # A fork pool starts all its workers at once; more than one per block would idle.
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             parts = list(pool.map(_block, jobs))

@@ -223,6 +223,12 @@ def test_w0_is_rejected_outside_simulate(tmp_path, capsys, command, source):
     (["table", "--t-values", "1e3,0"], "0"),
     (["table", "--t-values", "nan"], "nan"),
     (["table", "--t-values", "inf"], "inf"),
+    (["simulate", "--t", "inf"], "t_end"),
+    (["charfn", "--seed", "-1"], "seed"),
+    (["simulate", "--seed", "-1"], "seed"),
+    (["charfn", "--lambda-norm", "1,nan"], "nan"),
+    (["charfn", "--lambda-norm", "inf"], "inf"),
+    (["table", "--lambda-norm", "-1"], "-1"),
 ])
 def test_invalid_cli_input_exits_2(tmp_path, monkeypatch, capsys, argv, named):
     monkeypatch.chdir(tmp_path)
@@ -311,6 +317,9 @@ def test_workers_default_from_environment(tmp_path, monkeypatch, capsys):
             "--r0", "1.0", "--seed", "6"]
     monkeypatch.delenv("OCTOWIND_WORKERS", raising=False)
     assert _run(argv + ["--workers", "2", "--out", str(tmp_path / "flag.csv")]) == 0
+    # The worker count changes neither the numbers nor the config hash.
+    assert _run(argv + ["--workers", "1", "--out", str(tmp_path / "one.csv")]) == 0
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
     monkeypatch.setenv("OCTOWIND_WORKERS", "2")
     assert _run(argv + ["--out", str(tmp_path / "env.csv")]) == 0
     assert (tmp_path / "env.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
@@ -358,6 +367,7 @@ def test_cold_start_without_scipy(tmp_path):
     ])
     assert "octowind.cli" in modules
     assert "scipy" not in modules
+    assert "concurrent.futures.process" not in modules  # single-block runs open no pool
 
 
 def test_flat_closed_forms_load_scipy_without_stats(tmp_path):

@@ -59,6 +59,8 @@ def test_simconfig_validation():
     with pytest.raises(DomainError):
         SimConfig(space=ModelSpace.FLAT, t_end=1e-4, dt=1e-3, r0=1.0)
     with pytest.raises(DomainError):
+        SimConfig(space=ModelSpace.FLAT, t_end=math.inf, dt=1e-3, r0=1.0)
+    with pytest.raises(DomainError):
         SimConfig(space=ModelSpace.FLAT, t_end=1.0, dt=1e-3, r0=1.0, scheme="milstein")
     with pytest.raises(DomainError):
         SimConfig(space=ModelSpace.FLAT, t_end=1.0, dt=1e-3)
@@ -82,6 +84,16 @@ def test_radial_start_is_checked_against_the_radial_domain_only():
     assert np.all(simulate_radial(cfg).r < math.pi / 2)
     with pytest.raises(DomainError):
         simulate_radial_batch(ModelSpace.PROJECTIVE, math.pi / 2, 0.01, 1e-3, 5, make_rng(1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: simulate_radial_batch(ModelSpace.FLAT, 1.0, 1.0, -1e-3, 5, make_rng(1)),  # no step: r0 and a zero clock
+    lambda: simulate_radial_batch(ModelSpace.FLAT, 1.0, math.inf, 1e-3, 5, make_rng(1)),
+    lambda: simulate_coordinate_batch(ModelSpace.FLAT, np.eye(8)[0], 0.01, 1e-3, 5, make_rng(1), scheme="rk4"),
+], ids=["radial_negative_dt", "radial_infinite_horizon", "coordinate_unknown_scheme"])
+def test_batch_kernels_check_the_whole_request(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_radial_path_requires_monotone_clock():

@@ -1,5 +1,6 @@
 """Block runner: worker-count independence, failing blocks and the OCTOWIND_WORKERS setting."""
 
+import concurrent.futures
 import dataclasses
 import re
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from octowind import geometry, mc
-from octowind.errors import ConfigError, SimulationError
+from octowind.errors import ConfigError, DomainError, SimulationError
 from octowind.geometry import R_MIN, ModelSpace, coord_norm
 
 
@@ -50,11 +51,24 @@ def test_pool_has_at_most_one_worker_per_block(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     runs = [mc.run_radial_mc(ModelSpace.FLAT, 1.0, 0.05, 1e-3, 80, seed=33, want_winding=True,
                              block_size=40, workers=workers) for workers in (1, 64)]
     assert sizes == [2]
     _assert_same_arrays(*runs)
+
+
+@pytest.mark.parametrize("settings,named", [
+    ({"n_paths": -5, "block_size": 100}, "n_paths"),  # divmod(-5, 100) would run one block of 95
+    ({"n_paths": 0}, "n_paths"),
+    ({"block_size": 0}, "block_size"),
+    ({"workers": 0}, "workers"),
+    ({"seed": -1}, "seed"),
+])
+def test_block_run_settings_are_checked(settings, named):
+    args = {"n_paths": 10, "block_size": 5, "workers": 1, "seed": 1, **settings}
+    with pytest.raises(DomainError, match=f"{named} = -?[0-9]+ violates {named} >= "):
+        mc.run_radial_mc(ModelSpace.FLAT, 1.0, 0.01, 1e-3, **args)
 
 
 @pytest.mark.parametrize("landing", [R_MIN / 2, np.nan])
