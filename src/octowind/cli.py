@@ -71,21 +71,28 @@ def _floats(value) -> list[float]:
     return [float(v) for v in (value.split(",") if isinstance(value, str) else value) if str(v).strip()]
 
 
+def _integer(value) -> int:
+    """An integer, or a number or text that is one; not a boolean or a fraction."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
+
+
 #: Every config key: its flag, the converter of a flag or file value, and the expected form
 #: that --help shows and a failed conversion names; the layer that uses a value checks its range.
 _KEYS = {
     "space": ("--space", lambda v: ModelSpace.parse(str(v)), "flat, projective or hyperbolic"),
     "t_end": ("--t", float, "a finite number >= dt"),
     "dt": ("--dt", float, "a number > 0"),
-    "n_paths": ("--paths", int, "an integer >= 1"),
+    "n_paths": ("--paths", _integer, "an integer >= 1"),
     "r0": ("--r0", float, "a number inside the radial domain"),
     "w0": ("--w0", lambda v: np.array(_floats(v)), "8 comma-separated numbers"),
     "lambda_norms": ("--lambda-norm", _floats, "comma-separated |lambda| values >= 0"),
-    "seed": ("--seed", int, "an integer >= 0"),
+    "seed": ("--seed", _integer, "an integer >= 0"),
     "out": ("--out", str, "output CSV path"),
     "scheme": ("--scheme", str, " or ".join(SCHEMES)),
-    "workers": ("--workers", int, "an integer >= 1"),
-    "block_size": ("--block-size", int, "an integer >= 1"),
+    "workers": ("--workers", _integer, "an integer >= 1"),
+    "block_size": ("--block-size", _integer, "an integer >= 1"),
 }
 
 
@@ -93,7 +100,7 @@ def _convert(key: str, value, convert, form: str, violations: list):
     """``convert(value)``, or None with the violation listed."""
     try:
         return convert(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         violations.append(f"{key} = {value!r}; expected {form}")
 
 
@@ -115,6 +122,8 @@ def _validate(raw: dict, violations=()) -> ExperimentConfig:
     violations += mc.run_problems(cfg.n_paths, cfg.block_size, cfg.workers, cfg.seed)
     violations += [f"lambda_norms entry {v!r} violates 0 <= |lambda| < inf"
                    for v in cfg.lambda_norms if not 0 <= v < math.inf]
+    if not cfg.lambda_norms:
+        violations.append("lambda_norms is empty; expected at least one |lambda|")
     if violations:
         raise ConfigError(violations)
     return cfg

@@ -218,17 +218,11 @@ def _norm_sq(w: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", w, w)
 
 
-def _chart(spec, norm_sq: np.ndarray):
-    """(|w|, r) from |w|^2."""
-    wn = np.sqrt(norm_sq)
-    return wn, spec.radius(wn)
-
-
-def _leaves_chart(spec, wn, r, n2_new, r_new) -> np.ndarray:
-    """The switch rule of a step from (|w|, r) to (|w|^2, r) = (n2_new, r_new):
+def _leaves_chart(spec, n2, r, n2_new, r_new) -> np.ndarray:
+    """The switch rule of a step from (|w|^2, r) = (n2, r) to (n2_new, r_new):
     the start was at the chart ceiling or within R_MIN of the origin, or the
     step is non-finite or moves the radius by more than MAX_RADIAL_STEP."""
-    return ((r >= spec.chart_ceiling) | (wn <= R_MIN) | ~np.isfinite(n2_new)
+    return ((r >= spec.chart_ceiling) | (n2 <= R_MIN * R_MIN) | ~np.isfinite(n2_new)
             | (np.abs(r_new - r) > MAX_RADIAL_STEP))
 
 
@@ -278,7 +272,7 @@ def _coordinate_states(space: ModelSpace, w0: np.ndarray, t_end: float, dt: floa
     ``zeta`` (n_paths, 7).
 
     The active paths are kept compacted: column j of w (8, k), of its partial
-    winding z (7, k) and of |w|^2, |w| and r belong to path idx[j].  These
+    winding z (7, k) and of |w|^2 and r belong to path idx[j].  These
     arrays are gathered again, and the partial windings of the paths that
     leave are written to ``zeta``, only on a step where some path switches.
     """
@@ -289,12 +283,12 @@ def _coordinate_states(space: ModelSpace, w0: np.ndarray, t_end: float, dt: floa
     idx = np.arange(n_paths)
     w = np.repeat(w0[:, None], n_paths, axis=1)
     n2 = _norm_sq(w)
-    wn, r = _chart(spec, n2)
+    r = spec.radius(np.sqrt(n2))
     z = np.zeros((7, n_paths))
-    # Switched paths in the order they switched: path index, radius, drift and
-    # clock rate at that radius, and the clock accrued since the switch.
+    # Switched paths in switch order: their indices, and sw with rows radius,
+    # drift and clock rate there, and the clock accrued since the switch.
     sw_idx = np.empty(0, dtype=np.intp)
-    r_sw = drift_sw = rate_sw = clock_sw = np.empty(0)
+    sw = np.empty((4, 0))
 
     t_now = 0.0
     yield t_now, idx, w, z
@@ -306,32 +300,27 @@ def _coordinate_states(space: ModelSpace, w0: np.ndarray, t_end: float, dt: floa
             active = noise if idx.size == n_paths else noise[idx]
             w_new = _coordinate_step(spec, w, n2, np.multiply(active.T, sqrt_h, order="C"), h, scheme)
             n2_new = _norm_sq(w_new)
-            wn_new, r_new = _chart(spec, n2_new)
-            bad = _leaves_chart(spec, wn, r, n2_new, r_new)
+            r_new = spec.radius(np.sqrt(n2_new))
+            bad = _leaves_chart(spec, n2, r, n2_new, r_new)
             if bad.any():
                 out = idx[bad]
                 zeta[out] = z[:, bad].T
                 r_here = np.clip(r[bad], 2.0 * R_MIN, hi_guard - R_MIN)
-                drift_here, rate_here = law(r_here)
                 sw_idx = np.concatenate([sw_idx, out])
-                r_sw = np.concatenate([r_sw, r_here])
-                drift_sw = np.concatenate([drift_sw, drift_here])
-                rate_sw = np.concatenate([rate_sw, rate_here])
-                clock_sw = np.concatenate([clock_sw, np.zeros(out.size)])
+                sw = np.concatenate([sw, [r_here, *law(r_here), np.zeros(out.size)]], axis=1)
                 keep = ~bad
                 idx, w, z, w_new = idx[keep], w[:, keep], z[:, keep], w_new[:, keep]
-                n2_new, wn_new, r_new = n2_new[keep], wn_new[keep], r_new[keep]
+                n2_new, r_new = n2_new[keep], r_new[keep]
             if idx.size:
                 z += winding_form_cols(0.5 * (w + w_new), w_new - w)
-            w, n2, wn, r = w_new, n2_new, wn_new, r_new
+            w, n2, r = w_new, n2_new, r_new
         if sw_idx.size:
-            r_sw, drift_sw, rate_sw = _radial_step(law, implicit_root, r_sw, drift_sw, rate_sw, clock_sw,
-                                                   noise[sw_idx, 0] * sqrt_h, h, hi_guard, t_now)
+            sw[:3] = _radial_step(law, implicit_root, *sw, noise[sw_idx, 0] * sqrt_h, h, hi_guard, t_now)
         yield t_now, idx, w, z
     zeta[idx] = z.T
     if sw_idx.size:
         order = np.argsort(sw_idx)
-        zeta[sw_idx[order]] += rng.standard_normal((sw_idx.size, 7)) * np.sqrt(clock_sw[order])[:, None]
+        zeta[sw_idx[order]] += rng.standard_normal((sw_idx.size, 7)) * np.sqrt(sw[3, order])[:, None]
 
 
 def simulate_coordinate_batch(

@@ -31,11 +31,11 @@ DEFAULT_BLOCK_SIZE = 25_000
 
 
 def default_workers() -> int:
-    """Worker count: OCTOWIND_WORKERS if set, else 1 (in-process)."""
+    """Worker count: OCTOWIND_WORKERS if set, else 1 (in-process); run_problems checks its range."""
     env = os.environ.get("OCTOWIND_WORKERS")
     if env:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError:
             raise ConfigError([f"OCTOWIND_WORKERS = {env!r} is not an integer"]) from None
     return 1

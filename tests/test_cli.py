@@ -61,6 +61,31 @@ def test_validate_names_every_violation():
     assert len(exc.value.violations) >= 3
 
 
+@pytest.mark.parametrize("text,key", [
+    ('{"n_paths": 1.5}', "n_paths"),
+    ('{"seed": 2.7}', "seed"),
+    ('{"block_size": 99.9}', "block_size"),
+    ('{"workers": 2.5}', "workers"),
+    ('{"seed": true}', "seed"),
+    ('{"workers": false}', "workers"),
+    ('{"n_paths": Infinity}', "n_paths"),
+    ("seed = 2.7\n", "seed"),
+    ('{"lambda_norms": []}', "lambda_norms"),
+    ("lambda_norms =\n", "lambda_norms"),
+    ('{"dt": 1' + "0" * 400 + "}", "dt"),  # past the float range
+])
+def test_validate_refuses_malformed_numbers(text, key):
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(text)
+    assert [v for v in exc.value.violations if v.startswith(f"{key} ")] == exc.value.violations
+
+
+def test_integer_keys_accept_integral_numbers_and_text():
+    cfg = cli.parse_config('{"n_paths": 100.0, "seed": "5", "block_size": 7, "workers": 2.0}')
+    values = (cfg.n_paths, cfg.seed, cfg.block_size, cfg.workers)
+    assert values == (100, 5, 7, 2) and all(type(v) is int for v in values)
+
+
 def test_validate_hyperbolic_chart_bound():
     w0 = "1.0,0,0,0,0,0,0,0.5"
     with pytest.raises(ConfigError) as exc:
@@ -229,6 +254,8 @@ def test_w0_is_rejected_outside_simulate(tmp_path, capsys, command, source):
     (["charfn", "--lambda-norm", "1,nan"], "nan"),
     (["charfn", "--lambda-norm", "inf"], "inf"),
     (["table", "--lambda-norm", "-1"], "-1"),
+    (["charfn", "--lambda-norm", ","], "lambda_norms"),
+    (["charfn", "--lambda-norm", ""], "lambda_norms"),
 ])
 def test_invalid_cli_input_exits_2(tmp_path, monkeypatch, capsys, argv, named):
     monkeypatch.chdir(tmp_path)
@@ -326,6 +353,11 @@ def test_workers_default_from_environment(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("OCTOWIND_WORKERS", "two")
     assert _run(argv + ["--out", str(tmp_path / "bad.csv")]) == 2
     assert "OCTOWIND_WORKERS" in capsys.readouterr().err
+    for env in ("0", "-3"):  # refused as --workers 0 is
+        monkeypatch.setenv("OCTOWIND_WORKERS", env)
+        assert _run(argv + ["--out", str(tmp_path / "bad.csv")]) == 2
+        assert f"workers = {env} violates workers >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_verify_all_passes(tmp_path, capsys):

@@ -34,6 +34,13 @@ def test_radial_mc_independent_of_worker_count():
     _assert_same_arrays(*runs)
 
 
+def test_flat_exact_mc_independent_of_worker_count():
+    runs = [mc.run_flat_exact_mc(1.0, 10.0, 90, seed=34, want_winding=True, block_size=40, workers=workers)
+            for workers in (1, 2)]
+    _assert_same_arrays(*runs)
+    assert runs[0].zeta.shape == (90, 7)
+
+
 def test_pool_has_at_most_one_worker_per_block(monkeypatch):
     # The stub runs the blocks in this process and records the pool size asked for.
     sizes = []
@@ -97,8 +104,11 @@ def test_default_workers_reads_environment(monkeypatch):
     assert mc.default_workers() == 1
     monkeypatch.setenv("OCTOWIND_WORKERS", "3")
     assert mc.default_workers() == 3
+    # A count below 1 is refused where an explicit workers = 0 is, not raised to 1.
     monkeypatch.setenv("OCTOWIND_WORKERS", "0")
-    assert mc.default_workers() == 1
+    assert mc.default_workers() == 0
+    with pytest.raises(DomainError, match="workers = 0 violates workers >= 1"):
+        mc.run_radial_mc(ModelSpace.FLAT, 1.0, 0.01, 1e-3, 10, seed=1)
 
 
 @pytest.mark.parametrize("value", ["two", "1.5", "2x"])
