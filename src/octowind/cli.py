@@ -21,6 +21,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,22 +35,43 @@ from .errors import ConfigError, OctowindError
 from .geometry import ModelSpace
 from .octonion import mul_array, printed_winding, winding_form_array
 
+
+def _floats(value) -> list[float]:
+    """A list of numbers, or comma-separated text of them."""
+    return [float(v) for v in (value.split(",") if isinstance(value, str) else value) if str(v).strip()]
+
+
+def _integer(value) -> int:
+    """An integer, or a number or text that is one; not a boolean or a fraction."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
+
+
+def _key(flag: str, convert, form: str, **default):
+    """A config field with its flag, the converter of a flag or file value, and the expected
+    form that --help shows and a failed conversion names; the layer that uses a value checks its range."""
+    return field(**default, metadata={"cli": (flag, convert, form)})
+
+
 @dataclass
 class ExperimentConfig:
-    """Validated experiment parameters shared by all subcommands."""
+    """Validated experiment parameters shared by all subcommands; its fields are the config keys."""
 
-    space: ModelSpace = ModelSpace.FLAT
-    t_end: float = 10.0
-    dt: float = 1e-3
-    n_paths: int = 10_000
-    r0: Optional[float] = 1.0
-    w0: Optional[np.ndarray] = None
-    lambda_norms: list[float] = field(default_factory=lambda: [1.0])
-    seed: int = DEFAULT_SEED
-    out: Optional[str] = None
-    scheme: str = STRATONOVICH_HEUN
-    workers: int = 1
-    block_size: int = mc.DEFAULT_BLOCK_SIZE
+    space: ModelSpace = _key("--space", lambda v: ModelSpace.parse(str(v)), "flat, projective or hyperbolic",
+                             default=ModelSpace.FLAT)
+    t_end: float = _key("--t", float, "a finite number >= dt", default=10.0)
+    dt: float = _key("--dt", float, "a number > 0", default=1e-3)
+    n_paths: int = _key("--paths", _integer, "an integer >= 1", default=10_000)
+    r0: Optional[float] = _key("--r0", float, "a number inside the radial domain", default=1.0)
+    w0: Optional[np.ndarray] = _key("--w0", lambda v: np.array(_floats(v)), "8 comma-separated numbers", default=None)
+    lambda_norms: list[float] = _key("--lambda-norm", _floats, "comma-separated |lambda| values >= 0",
+                                     default_factory=lambda: [1.0])
+    seed: int = _key("--seed", _integer, "an integer >= 0", default=DEFAULT_SEED)
+    out: Optional[str] = _key("--out", str, "output CSV path", default=None)
+    scheme: str = _key("--scheme", str, " or ".join(SCHEMES), default=STRATONOVICH_HEUN)
+    workers: int = _key("--workers", _integer, "an integer >= 1", default=1)
+    block_size: int = _key("--block-size", _integer, "an integer >= 1", default=mc.DEFAULT_BLOCK_SIZE)
 
     def config_hash(self, t_values: Optional[list[float]] = None) -> str:
         """Hash of the fields, and of the horizons when ``table`` passes them;
@@ -66,36 +88,6 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _floats(value) -> list[float]:
-    """A list of numbers, or comma-separated text of them."""
-    return [float(v) for v in (value.split(",") if isinstance(value, str) else value) if str(v).strip()]
-
-
-def _integer(value) -> int:
-    """An integer, or a number or text that is one; not a boolean or a fraction."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(value)
-    return int(value)
-
-
-#: Every config key: its flag, the converter of a flag or file value, and the expected form
-#: that --help shows and a failed conversion names; the layer that uses a value checks its range.
-_KEYS = {
-    "space": ("--space", lambda v: ModelSpace.parse(str(v)), "flat, projective or hyperbolic"),
-    "t_end": ("--t", float, "a finite number >= dt"),
-    "dt": ("--dt", float, "a number > 0"),
-    "n_paths": ("--paths", _integer, "an integer >= 1"),
-    "r0": ("--r0", float, "a number inside the radial domain"),
-    "w0": ("--w0", lambda v: np.array(_floats(v)), "8 comma-separated numbers"),
-    "lambda_norms": ("--lambda-norm", _floats, "comma-separated |lambda| values >= 0"),
-    "seed": ("--seed", _integer, "an integer >= 0"),
-    "out": ("--out", str, "output CSV path"),
-    "scheme": ("--scheme", str, " or ".join(SCHEMES)),
-    "workers": ("--workers", _integer, "an integer >= 1"),
-    "block_size": ("--block-size", _integer, "an integer >= 1"),
-}
-
-
 def _convert(key: str, value, convert, form: str, violations: list):
     """``convert(value)``, or None with the violation listed."""
     try:
@@ -106,20 +98,23 @@ def _convert(key: str, value, convert, form: str, violations: list):
 
 def _validate(raw: dict, violations=()) -> ExperimentConfig:
     violations = list(violations)  # those the caller found come first
-    violations += [f"unknown key {key!r}" for key in sorted(set(raw) - set(_KEYS))]
+    keys = dataclasses.fields(ExperimentConfig)
+    violations += [f"unknown key {key!r}" for key in sorted(set(raw) - {k.name for k in keys})]
     cfg = ExperimentConfig()
-    for key, (_, convert, form) in _KEYS.items():
-        if key in raw:
-            value = _convert(key, raw[key], convert, form, violations)
-            if value is not None or key == "r0":  # an unreadable r0 leaves no start point
-                setattr(cfg, key, value)
+    for k in keys:
+        if k.name in raw:
+            value = _convert(k.name, raw[k.name], *k.metadata["cli"][1:], violations)
+            if value is not None or k.name == "r0":  # an unreadable r0 leaves no start point
+                setattr(cfg, k.name, value)
     if "workers" not in raw:
         try:
             cfg.workers = mc.default_workers()
         except ConfigError as exc:
             violations.extend(exc.violations)
     violations += engine.sim_problems(cfg.space, cfg.t_end, cfg.dt, cfg.scheme, cfg.r0, cfg.w0)
-    violations += mc.run_problems(cfg.n_paths, cfg.block_size, cfg.workers, cfg.seed)
+    violations += [v if "workers" in raw else v.replace("workers =", "OCTOWIND_WORKERS =", 1)  # name its source
+                   for v in mc.run_problems(cfg.n_paths, cfg.block_size, cfg.workers, cfg.seed)]
+    violations += _out_problems(cfg.out)
     violations += [f"lambda_norms entry {v!r} violates 0 <= |lambda| < inf"
                    for v in cfg.lambda_norms if not 0 <= v < math.inf]
     if not cfg.lambda_norms:
@@ -168,18 +163,27 @@ def parse_config(text: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Artifact helpers
 
-def _write_csv(path: Optional[str], header: list[str], rows, config_hash: str) -> str:
+def _out_problems(path: Optional[str]) -> list[str]:
+    """Why an artifact cannot be written to ``path``; checked before the run."""
+    if path and Path(path).is_dir():
+        return [f"out = {path!r} is a directory"]
+    if path and not os.access(Path(path).parent, os.W_OK):
+        return [f"out = {path!r}: its directory is missing or not writable"]
+    return []
+
+
+def _write_csv(path: Optional[str], header: list[str], rows, config_hash: str) -> None:
+    """Write the artifact to ``path``, or to stdout when there is none."""
     buf = io.StringIO()
     buf.write(f"# config {config_hash}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
-    text = buf.getvalue()
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+        Path(path).write_text(buf.getvalue())
+    else:
+        sys.stdout.write(buf.getvalue())
 
 
 def _fmt(v):
@@ -207,9 +211,7 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
         header = ["time", "r", "clock"]
         rows = ([t, float(r), float(a)] for t, r, a in zip(path.times, path.r, path.clock))
         print(f"radial path: t_end={path.times[-1]:.6g} r_end={path.r[-1]:.6g} clock={path.clock[-1]:.6g}")
-    text = _write_csv(cfg.out, header, rows, cfg.config_hash())
-    if not cfg.out:
-        sys.stdout.write(text)
+    _write_csv(cfg.out, header, rows, cfg.config_hash())
     return 0
 
 
@@ -252,10 +254,8 @@ def _cmd_table(cfg: ExperimentConfig, t_values: list[float]) -> int:
                 rows.append([cfg.space.value, ln, cfg.r0, t, specfun.flat_laplace(cfg.r0, t, scaled)])
         rows.append([cfg.space.value, ln, cfg.r0, "inf", _CLOSED_FORMS[cfg.space][1](ln, cfg.r0)])
     header = ["space", "lambda_norm", "r0", "t", "closed_form_value"]
-    text = _write_csv(cfg.out, header, rows, cfg.config_hash(t_values=t_values))
-    if not cfg.out:
-        sys.stdout.write(text)
-    else:
+    _write_csv(cfg.out, header, rows, cfg.config_hash(t_values=t_values))
+    if cfg.out:
         print(f"wrote {len(rows)} rows to {cfg.out}")
     return 0
 
@@ -352,6 +352,8 @@ _SUITES = {
 
 
 def _cmd_verify(suite: str, out: Optional[str]) -> int:
+    if problems := _out_problems(out):
+        raise ConfigError(problems)
     names = list(_SUITES) if suite == "all" else [suite]
     report = {"suites": {}}
     ok = True
@@ -376,8 +378,9 @@ def _add_common(p: argparse.ArgumentParser):
     # Values stay strings: _validate converts them as it does a config file's,
     # so a malformed flag is one more listed violation.
     p.add_argument("--config", help="JSON or key=value config file; flags override it")
-    for key, (flag, _, form) in _KEYS.items():
-        p.add_argument(flag, dest=key, help=form)
+    for k in dataclasses.fields(ExperimentConfig):
+        flag, _, form = k.metadata["cli"]
+        p.add_argument(flag, dest=k.name, help=form)
 
 
 def _resolve(args) -> ExperimentConfig:
@@ -385,7 +388,7 @@ def _resolve(args) -> ExperimentConfig:
         raw = _read(Path(args.config).read_text()) if args.config else {}
     except OSError as exc:
         raise ConfigError([f"config file {args.config!r}: {exc.strerror}"]) from None
-    raw.update({key: val for key in _KEYS if (val := getattr(args, key)) is not None})
+    raw.update({k.name: v for k in dataclasses.fields(ExperimentConfig) if (v := getattr(args, k.name)) is not None})
     problems = []
     if args.command != "simulate" and "w0" in raw:
         problems.append(f"w0 is for simulate only; {args.command} starts from r0")

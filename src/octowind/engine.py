@@ -320,7 +320,7 @@ def _coordinate_states(space: ModelSpace, w0: np.ndarray, t_end: float, dt: floa
     zeta[idx] = z.T
     if sw_idx.size:
         order = np.argsort(sw_idx)
-        zeta[sw_idx[order]] += rng.standard_normal((sw_idx.size, 7)) * np.sqrt(sw[3, order])[:, None]
+        zeta[sw_idx[order]] += sample_windings_timechange(sw[3, order], rng)
 
 
 def simulate_coordinate_batch(

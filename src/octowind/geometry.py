@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, SimulationError
+from .errors import DomainError
 
 #: Radial floor: a radial step landing below it is redone implicitly, and a
 #: start point (or a coordinate path) must stay above it.
@@ -131,15 +131,9 @@ def _hyperbolic_radial(tilt):
             r = np.where(r >= 177.5, np.inf, r)
         return p / th + q * th, 4.0 / np.sinh(2.0 * r) ** 2
 
-    def root(target, dt):
-        hi = np.maximum(np.abs(target) + 1.0, 2.0)
-        for _ in range(200):
-            g = hi - law(hi)[0] * dt - target
-            if np.all(g > 0):
-                return _bisect(law, target, dt, hi)
-            hi = np.where(g > 0, hi, 2.0 * hi)
-        raise SimulationError("implicit radial step failed to bracket a root")
-    return law, root
+    # For x >= 1, |b(x)| <= |p| / tanh 1 + |q|, so x - b(x) dt - target > 0 at this hi.
+    b_max = abs(p) / math.tanh(1.0) + abs(q)
+    return law, lambda target, dt: _bisect(law, target, dt, np.maximum(target, 0.0) + 1.0 + dt * b_max)
 
 
 # The projective chart degenerates near pi/2.  The hyperbolic one only loses

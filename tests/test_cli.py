@@ -1,5 +1,6 @@
 """CLI harness: config validation, artifacts, reproducibility, verify suites."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from octowind import cli
+from octowind import cli, geometry
 from octowind.errors import ConfigError
 from octowind.geometry import ModelSpace
 
@@ -256,13 +257,27 @@ def test_w0_is_rejected_outside_simulate(tmp_path, capsys, command, source):
     (["table", "--lambda-norm", "-1"], "-1"),
     (["charfn", "--lambda-norm", ","], "lambda_norms"),
     (["charfn", "--lambda-norm", ""], "lambda_norms"),
+    (["simulate", "--config", "bad.json"], "invalid JSON"),
 ])
 def test_invalid_cli_input_exits_2(tmp_path, monkeypatch, capsys, argv, named):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text('{"t_end": 1,')
     assert _run([*argv, "--out", "o.csv"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and named in err
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("out", ["missing/o.csv", "."], ids=["missing_dir", "directory"])
+@pytest.mark.parametrize("command", ["simulate", "charfn", "table", "verify"])
+def test_bad_out_exits_2_before_the_run(tmp_path, monkeypatch, capsys, command, out):
+    monkeypatch.chdir(tmp_path)
+    run = [] if command == "verify" else ["--space", "hyperbolic", "--t", "0.5", "--paths", "200"]
+    assert _run([command, *run, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing ran
+    assert captured.err.startswith(f"config error: out = {out!r}")
+    assert not any(tmp_path.iterdir())
 
 
 def test_projective_radial_start_beyond_the_chart_ceiling_runs(tmp_path, capsys):
@@ -285,6 +300,35 @@ def test_invalid_start_point_exits_2_from_every_subcommand(tmp_path, capsys, com
     assert _run(argv) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--space", "flat", "--t", "0.05", "--r0", "1"],
+    ["charfn", "--space", "hyperbolic", "--t", "0.5", "--paths", "200", "--lambda-norm", "0.5,1"],
+    ["table", "--space", "flat", "--t-values", "1e3,1e5"],
+], ids=["simulate", "charfn", "table"])
+def test_stdout_without_out_ends_with_the_artifact(tmp_path, capsys, argv):
+    assert _run(argv) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert _run([*argv, "--out", str(tmp_path / "o.csv")]) == 0
+    artifact = (tmp_path / "o.csv").read_bytes()
+    assert artifact.startswith(b"# config ") and stdout.endswith(artifact)
+
+
+def test_simulation_error_exits_1_without_traceback(monkeypatch, capsys):
+    # An implicit root that lands on NaN stops the run inside block 0.
+    spec = geometry.SPACES[ModelSpace.PROJECTIVE]
+
+    def broken_radial(tilt):
+        law, _ = spec.radial(tilt)
+        return law, lambda target, dt: np.full_like(target, np.nan)
+    monkeypatch.setitem(geometry.SPACES, ModelSpace.PROJECTIVE, dataclasses.replace(spec, radial=broken_radial))
+    argv = ["charfn", "--space", "projective", "--r0", "1.56", "--t", "1", "--dt", "0.05", "--paths", "200",
+            "--block-size", "100", "--seed", "83", "--workers", "1"]
+    assert _run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: block 0: radial path ") and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_malformed_flags_are_listed_config_errors(capsys):
@@ -353,10 +397,12 @@ def test_workers_default_from_environment(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("OCTOWIND_WORKERS", "two")
     assert _run(argv + ["--out", str(tmp_path / "bad.csv")]) == 2
     assert "OCTOWIND_WORKERS" in capsys.readouterr().err
-    for env in ("0", "-3"):  # refused as --workers 0 is
+    for env in ("0", "-3"):  # refused as --workers 0 is, naming the variable
         monkeypatch.setenv("OCTOWIND_WORKERS", env)
         assert _run(argv + ["--out", str(tmp_path / "bad.csv")]) == 2
-        assert f"workers = {env} violates workers >= 1" in capsys.readouterr().err
+        assert f"config error: OCTOWIND_WORKERS = {env} violates workers >= 1" in capsys.readouterr().err
+    assert _run(argv + ["--workers", "0", "--out", str(tmp_path / "bad.csv")]) == 2
+    assert "config error: workers = 0 violates workers >= 1" in capsys.readouterr().err
     assert not (tmp_path / "bad.csv").exists()
 
 

@@ -164,6 +164,8 @@ _TILTS = {
 @example((ModelSpace.PROJECTIVE, None), [-0.3, 0.01, 0.4, 1.2], 1e-2)
 @example((ModelSpace.HYPERBOLIC, None), [-0.3, 0.01, 0.4, 1.2], 1e-2)
 @example((ModelSpace.HYPERBOLIC, (2.0, -8.0)), [-0.3, 0.01, 0.4, 1.2], 1e-2)
+@example((ModelSpace.HYPERBOLIC, (10.0, 0.0)), [2.0], 0.1)
+@example((ModelSpace.HYPERBOLIC, None), [0.5], 0.5)
 def test_implicit_step_solves_the_backward_equation(space_tilt, target, dt):
     space, tilt = space_tilt
     law, implicit_root = space.spec.radial(tilt)
