@@ -115,8 +115,8 @@ def _validate(raw: dict, violations=()) -> ExperimentConfig:
     violations += [v if "workers" in raw else v.replace("workers =", "OCTOWIND_WORKERS =", 1)  # name its source
                    for v in mc.run_problems(cfg.n_paths, cfg.block_size, cfg.workers, cfg.seed)]
     violations += _out_problems(cfg.out)
-    violations += [f"lambda_norms entry {v!r} violates 0 <= |lambda| < inf"
-                   for v in cfg.lambda_norms if not 0 <= v < math.inf]
+    violations += [f"lambda_norms entry {v!r} violates 0 <= |lambda| <= {specfun.LAMBDA_MAX:.4g}"
+                   for v in cfg.lambda_norms if not 0 <= v <= specfun.LAMBDA_MAX]
     if not cfg.lambda_norms:
         violations.append("lambda_norms is empty; expected at least one |lambda|")
     if violations:
@@ -126,33 +126,29 @@ def _validate(raw: dict, violations=()) -> ExperimentConfig:
 
 def _read(text: str) -> dict:
     """The raw keys and values of a JSON object or key=value document."""
-    stripped = text.lstrip()
-    raw: dict = {}
-    if stripped.startswith("{"):
-        def no_dupes(pairs):
-            d = {}
-            for k, v in pairs:
-                if k in d:
-                    raise ConfigError([f"duplicate key {k!r}"])
-                d[k] = v
-            return d
+    def no_dupes(pairs):
+        d = {}
+        for k, v in pairs:
+            if k in d:
+                raise ConfigError([f"duplicate key {k!r}"])
+            d[k] = v
+        return d
+
+    if text.lstrip().startswith("{"):
         try:
-            raw = json.loads(text, object_pairs_hook=no_dupes)
+            return json.loads(text, object_pairs_hook=no_dupes)
         except json.JSONDecodeError as exc:
             raise ConfigError([f"invalid JSON: {exc}"]) from None
-    else:
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError([f"line {lineno}: expected key=value, got {line!r}"])
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in raw:
-                raise ConfigError([f"duplicate key {key!r}"])
-            raw[key] = value.strip()
-    return raw
+    pairs = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError([f"line {lineno}: expected key=value, got {line!r}"])
+        key, _, value = line.partition("=")
+        pairs.append((key.strip(), value.strip()))
+    return no_dupes(pairs)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -304,21 +300,6 @@ def _algebra_checks() -> list[dict]:
     return checks
 
 
-def _engine_checks() -> list[dict]:
-    checks = []
-    cfg = SimConfig(space=ModelSpace.FLAT, t_end=1.0, dt=1e-3, r0=1.0, seed=11)
-    p1 = engine.simulate_radial(cfg)
-    p2 = engine.simulate_radial(cfg)
-    checks.append({"name": "determinism", "passed": bool(np.array_equal(p1.r, p2.r)),
-                   "detail": "identical config and seed give identical paths"})
-    p3 = engine.simulate_radial(cfg, tilt=0.0)
-    checks.append({"name": "zero_tilt_identity", "passed": bool(np.array_equal(p1.r, p3.r)),
-                   "detail": "mu = 0 tilt reproduces the plain path"})
-    checks.append({"name": "clock_monotone", "passed": bool(np.all(np.diff(p1.clock) >= 0)),
-                   "detail": "running clock is nondecreasing"})
-    return checks
-
-
 def _specfun_checks() -> list[dict]:
     checks = []
     half = specfun.bessel_i(0.5, 1.0)
@@ -346,7 +327,6 @@ def _specfun_checks() -> list[dict]:
 
 _SUITES = {
     "algebra": _algebra_checks,
-    "engine": _engine_checks,
     "specfun": _specfun_checks,
 }
 

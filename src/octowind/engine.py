@@ -16,7 +16,9 @@ Every per-space quantity comes from the table in :mod:`octowind.geometry`.
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,6 +53,8 @@ def sim_problems(space: ModelSpace, t_end: float, dt: float, scheme: str = STRAT
         problems.append(f"dt = {dt} violates dt > 0")
     elif not dt <= t_end < math.inf:
         problems.append(f"t_end = {t_end} violates dt <= t_end < inf")
+    elif not t_end / dt <= sys.maxsize:  # the step count must fit an index
+        problems.append(f"t_end / dt = {t_end / dt:g} violates t_end / dt <= {sys.maxsize}")
     if scheme not in SCHEMES:
         problems.append(f"scheme = {scheme!r}; expected one of {SCHEMES}")
     if r0 is None and w0 is None:
@@ -128,10 +132,9 @@ def _radial_step(law, implicit_root, r, drift, rate, clock, noise, dt, hi_guard,
 def _time_steps(t_end: float, dt: float):
     n_full = int(t_end / dt)
     rem = t_end - n_full * dt
-    steps = [dt] * n_full
+    yield from itertools.repeat(dt, n_full)
     if rem > 1e-12 * dt:
-        steps.append(rem)
-    return steps
+        yield rem
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +162,7 @@ def _radial_states(space: ModelSpace, r0: float, t_end: float, dt: float, n_path
             return
 
 
-def simulate_radial(cfg: SimConfig, tilt=None, rng: Optional[np.random.Generator] = None) -> RadialPath:
+def simulate_radial(cfg: SimConfig, tilt=None) -> RadialPath:
     """One radial trajectory: the batch kernel with one path, every step kept.
 
     ``tilt`` is the drift parameter mu (flat) or the pair (a_hat, b_hat)
@@ -168,7 +171,7 @@ def simulate_radial(cfg: SimConfig, tilt=None, rng: Optional[np.random.Generator
     """
     if cfg.r0 is None:
         raise DomainError("radial simulation needs r0")
-    rng = make_rng(cfg.seed) if rng is None else rng
+    rng = make_rng(cfg.seed)
     states = [(t, r[0], a[0]) for t, r, a in _radial_states(cfg.space, cfg.r0, cfg.t_end, cfg.dt, 1, rng, tilt)]
     times, r, clock = (np.array(col) for col in zip(*states))
     return RadialPath(cfg.space, times, r, clock)

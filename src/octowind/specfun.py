@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 import sys
 
-import numpy as np
-
 from .errors import DomainError, QuadratureError
 
 #: Relative tolerance of the flat_laplace quadrature.
 QUAD_RTOL = 1e-8
+
+#: Largest |lambda| the closed forms take; the hyperbolic limit's correction grows like |lambda|^3.
+LAMBDA_MAX = sys.float_info.max ** (1.0 / 3.0)
 
 
 def order_from_lambda(lambda_norm: float) -> float:
@@ -106,13 +107,6 @@ def _hankel_sum(nu: float, z: float) -> float:
     return total
 
 
-def _as_lambda_norm(lam) -> float:
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim == 0:
-        return abs(float(lam))
-    return float(np.linalg.norm(lam))
-
-
 def flat_laplace(rho: float, t: float, lambda_norm: float) -> float:
     """Finite-time transform E_rho[exp(-|lambda|^2 A_t / 2)] on the flat space.
 
@@ -126,7 +120,7 @@ def flat_laplace(rho: float, t: float, lambda_norm: float) -> float:
 
     if rho <= 0 or t <= 0:
         raise DomainError("flat_laplace requires rho > 0 and t > 0")
-    nu = order_from_lambda(_as_lambda_norm(lambda_norm))
+    nu = order_from_lambda(lambda_norm)
     c = rho / math.sqrt(t)
 
     def integrand(r):
@@ -139,27 +133,25 @@ def flat_laplace(rho: float, t: float, lambda_norm: float) -> float:
     return t ** 1.5 / rho ** 3 * value
 
 
-def flat_limit_charfn(lam) -> float:
+def flat_limit_charfn(lambda_norm: float) -> float:
     """Limiting characteristic function of sqrt(6/log t) * zeta(t) on the flat space."""
-    l2 = _as_lambda_norm(lam) ** 2
-    return math.exp(-0.5 * l2)
+    return math.exp(-0.5 * float(lambda_norm) ** 2)
 
 
-def op1_limit_charfn(lam) -> float:
+def op1_limit_charfn(lambda_norm: float) -> float:
     """Limiting characteristic function of zeta(t)/sqrt(t) on the projective space."""
-    l2 = _as_lambda_norm(lam) ** 2
-    return math.exp(-7.0 / 3.0 * l2)
+    return math.exp(-7.0 / 3.0 * float(lambda_norm) ** 2)
 
 
-def _oh1_correction(lambda_norm: float, r0: float) -> float:
-    """The polynomial correction term multiplying (6 nu - 18) in the limit."""
+def _oh1_terms(lambda_norm: float, r0: float) -> tuple[float, float]:
+    """The order nu and the polynomial correction A multiplying (6 nu - 18) in the limit."""
     nu = order_from_lambda(lambda_norm)
     l2 = lambda_norm * lambda_norm
     ch2 = math.cosh(r0) ** 2
-    return ch2 * ch2 / 12.0 + (nu - 2.0) * ch2 / 60.0 + (l2 - 3.0 * nu + 11.0) / 720.0
+    return nu, ch2 * ch2 / 12.0 + (nu - 2.0) * ch2 / 60.0 + (l2 - 3.0 * nu + 11.0) / 720.0
 
 
-def oh1_limit_charfn(lam, r0: float) -> float:
+def oh1_limit_charfn(lambda_norm: float, r0: float) -> float:
     """Long-time limit of E[exp(i lambda . zeta(t))] on the hyperbolic space.
 
     tanh(r0)^(nu-3) * (1 + (6 nu - 18) A / cosh^6(r0)) with
@@ -167,13 +159,11 @@ def oh1_limit_charfn(lam, r0: float) -> float:
     """
     if r0 <= 0:
         raise DomainError("oh1_limit_charfn requires r0 > 0")
-    ln = _as_lambda_norm(lam)
-    nu = order_from_lambda(ln)
-    a = _oh1_correction(ln, r0)
+    nu, a = _oh1_terms(float(lambda_norm), r0)
     return math.tanh(r0) ** (nu - 3.0) * (1.0 + (6.0 * nu - 18.0) * a / math.cosh(r0) ** 6)
 
 
-def oh1_limit_charfn_expanded(lam, r0: float) -> float:
+def oh1_limit_charfn_expanded(lambda_norm: float, r0: float) -> float:
     """Algebraically expanded form of the hyperbolic limit (cross-check).
 
     tanh(r0)^(nu-3) / cosh^6(r0) * (cosh^6(r0) + (6 nu - 18) A); must agree
@@ -181,9 +171,7 @@ def oh1_limit_charfn_expanded(lam, r0: float) -> float:
     """
     if r0 <= 0:
         raise DomainError("oh1_limit_charfn_expanded requires r0 > 0")
-    ln = _as_lambda_norm(lam)
-    nu = order_from_lambda(ln)
-    a = _oh1_correction(ln, r0)
+    nu, a = _oh1_terms(float(lambda_norm), r0)
     ch6 = math.cosh(r0) ** 6
     return math.tanh(r0) ** (nu - 3.0) / ch6 * (ch6 + (6.0 * nu - 18.0) * a)
 

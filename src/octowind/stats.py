@@ -44,25 +44,18 @@ def _gather(result) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
     return zeta, clock
 
 
-def mc_charfn(result, lam) -> McEstimate:
-    """Monte Carlo estimate of the characteristic function E[exp(i lam . zeta)].
+def mc_charfn(result, lambda_norm: float) -> McEstimate:
+    """Monte Carlo estimate of E[exp(i lambda . zeta)], a function of |lambda| = ``lambda_norm``.
 
     When clock values are attached, the conditional (Rao-Blackwellized)
-    estimator exp(-|lam|^2 A_t / 2) is used; otherwise cos(lam . zeta).
-    Either way the estimator is real and even in lam.
+    estimator exp(-|lambda|^2 A_t / 2) is used; otherwise cos(|lambda| zeta_1).
     """
     zeta, clock = _gather(result)
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim == 0:
-        direction = np.zeros(7)
-        direction[0] = 1.0
-        lam = abs(float(lam)) * direction
-    if lam.shape != (7,):
-        raise DomainError("lambda must be a scalar norm or a 7-vector")
+    lam = float(lambda_norm)
     if clock is not None:
-        draws = np.exp(-0.5 * float(lam @ lam) * clock)
+        draws = np.exp(-0.5 * (lam * lam) * clock)
     else:
-        draws = np.cos(zeta @ lam)
+        draws = np.cos(lam * zeta[:, 0])
     n = draws.size
     value = float(draws.mean())
     se = float(draws.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0

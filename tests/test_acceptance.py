@@ -7,6 +7,7 @@ errors.
 """
 
 import math
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +19,13 @@ from octowind.geometry import ModelSpace, coord_norm
 from octowind.octonion import mul_array, printed_winding, winding_form_array
 
 from conftest import record_criterion
+
+
+@pytest.fixture(autouse=True)
+def _every_core(monkeypatch):
+    """Run each criterion's blocks on every available core; block i draws from
+    Philox stream (seed, i), so the numbers do not depend on the worker count."""
+    monkeypatch.setenv("OCTOWIND_WORKERS", str(len(os.sched_getaffinity(0))))
 
 
 def _wrap(zeta):

@@ -258,6 +258,13 @@ def test_w0_is_rejected_outside_simulate(tmp_path, capsys, command, source):
     (["charfn", "--lambda-norm", ","], "lambda_norms"),
     (["charfn", "--lambda-norm", ""], "lambda_norms"),
     (["simulate", "--config", "bad.json"], "invalid JSON"),
+    (["simulate", "--t", "1", "--dt", "1e-300"], "t_end / dt"),
+    (["simulate", "--t", "1", "--dt", "5e-324"], "t_end / dt"),
+    (["charfn", "--t", "1", "--dt", "1e-300"], "t_end / dt"),
+    (["charfn", "--t", "1", "--dt", "5e-324"], "t_end / dt"),
+    *(([cmd, "--space", space, "--lambda-norm", "1e200"], "1e+200")
+      for cmd in ("charfn", "table") for space in ("flat", "projective", "hyperbolic")),
+    (["charfn", "--space", "hyperbolic", "--lambda-norm", "1e120"], "1e+120"),
 ])
 def test_invalid_cli_input_exits_2(tmp_path, monkeypatch, capsys, argv, named):
     monkeypatch.chdir(tmp_path)
@@ -411,7 +418,7 @@ def test_verify_all_passes(tmp_path, capsys):
     assert _run(["verify", "--suite", "all", "--out", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
     assert report["pass"] is True
-    assert set(report["suites"]) == {"algebra", "engine", "specfun"}
+    assert set(report["suites"]) == {"algebra", "specfun"}
     algebra = report["suites"]["algebra"]
     assert [c["name"] for c in algebra] == ["norm_multiplicativity", "alternativity", "non_associativity_witness",
                                             "winding_form_coordinates", "winding_form_self_vanishes"]

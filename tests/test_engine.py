@@ -60,6 +60,9 @@ def test_simconfig_validation():
         SimConfig(space=ModelSpace.FLAT, t_end=1e-4, dt=1e-3, r0=1.0)
     with pytest.raises(DomainError):
         SimConfig(space=ModelSpace.FLAT, t_end=math.inf, dt=1e-3, r0=1.0)
+    for dt in (1e-300, 5e-324):  # a step count past sys.maxsize, or an infinite one
+        with pytest.raises(DomainError, match="t_end / dt"):
+            SimConfig(space=ModelSpace.FLAT, t_end=1.0, dt=dt, r0=1.0)
     with pytest.raises(DomainError):
         SimConfig(space=ModelSpace.FLAT, t_end=1.0, dt=1e-3, r0=1.0, scheme="milstein")
     with pytest.raises(DomainError):
@@ -128,7 +131,7 @@ def test_zero_tilt_reproduces_untilted_path(space):
     tilt = 0.0 if space is ModelSpace.FLAT else (0.0, 0.0)
     p = simulate_radial(cfg)
     q = simulate_radial(cfg, tilt=tilt)
-    assert np.allclose(p.r, q.r, rtol=1e-12)
+    assert np.array_equal(p.r, q.r) and np.array_equal(p.clock, q.clock)
 
 
 def test_flat_tilt_bound():

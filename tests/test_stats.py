@@ -24,21 +24,10 @@ def test_mc_charfn_conditional_estimator_exact():
     assert est.std_error > 0
 
 
-def test_mc_charfn_scalar_equals_vector():
-    clocks = [0.3, 0.9, 1.7, 2.4]
-    lam = np.zeros(7)
-    lam[3] = 1.2
-    a = stats.mc_charfn(_samples_with_clock(clocks), 1.2)
-    b = stats.mc_charfn(_samples_with_clock(clocks), lam)
-    assert a.value == pytest.approx(b.value, rel=1e-12)
-
-
 def test_mc_charfn_cosine_fallback():
     zeta = np.array([[1.0, 0, 0, 0, 0, 0, 0], [2.0, 0, 0, 0, 0, 0, 0]])
     samples = SimpleNamespace(zeta=zeta, clock_end=None)
-    lam = np.zeros(7)
-    lam[0] = 0.7
-    est = stats.mc_charfn(samples, lam)
+    est = stats.mc_charfn(samples, 0.7)
     assert est.value == pytest.approx(0.5 * (math.cos(0.7) + math.cos(1.4)), rel=1e-12)
 
 
@@ -51,8 +40,6 @@ def test_mc_charfn_accepts_batched_result():
 def test_mc_charfn_input_errors():
     with pytest.raises(DomainError):
         stats.mc_charfn(SimpleNamespace(zeta=np.zeros((0, 7)), clock_end=None), 1.0)
-    with pytest.raises(DomainError):
-        stats.mc_charfn(_samples_with_clock([1.0]), np.ones(3))
 
 
 def test_gaussian_test_accepts_matching_samples(rng):
