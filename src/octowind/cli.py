@@ -223,31 +223,46 @@ _CLOSED_FORMS = {
 }
 
 
+def _flat_order_problems(lambda_norms, scale: float) -> list[str]:
+    """Why flat_laplace cannot take |lambda| = entry * scale, the largest a subcommand passes it."""
+    return [f"lambda_norms entry {ln!r} gives flat_laplace the Bessel order {nu:.4g} > {specfun.FLAT_ORDER_MAX!r}"
+            for ln in lambda_norms if (nu := specfun.order_from_lambda(ln * scale)) > specfun.FLAT_ORDER_MAX]
+
+
+def _table_scale(t: float) -> float:
+    """The flat limit's factor sqrt(6 / log t), which table applies to |lambda| past t = 1."""
+    return math.sqrt(6.0 / math.log(t)) if t > 1 else 1.0
+
+
 def _cmd_charfn(cfg: ExperimentConfig) -> int:
+    if cfg.space is ModelSpace.FLAT and (problems := _flat_order_problems(cfg.lambda_norms, 1.0)):
+        raise ConfigError(problems)
+    closed = [_CLOSED_FORMS[cfg.space][0](ln, cfg.r0, cfg.t_end) for ln in cfg.lambda_norms]  # fail before the run
     stop_tol = 1e-13 if cfg.space is ModelSpace.HYPERBOLIC else None
     result = mc.run_radial_mc(
         cfg.space, cfg.r0, cfg.t_end, cfg.dt, cfg.n_paths, seed=cfg.seed,
         stop_rate_tol=stop_tol, block_size=cfg.block_size, workers=cfg.workers,
     )
     rows = []
-    for ln in cfg.lambda_norms:
+    for ln, ref in zip(cfg.lambda_norms, closed):
         est = stats.mc_charfn(result, ln)
-        closed = _CLOSED_FORMS[cfg.space][0](ln, cfg.r0, cfg.t_end)
         rows.append([cfg.space.value, ln, cfg.r0, cfg.t_end, cfg.n_paths,
-                     est.value, est.std_error, closed])
-        print(f"lambda={ln:g}: mc={est.value:.6f} +- {est.std_error:.6f}  closed_form={closed:.6f}")
+                     est.value, est.std_error, ref])
+        print(f"lambda={ln:g}: mc={est.value:.6f} +- {est.std_error:.6f}  closed_form={ref:.6f}")
     header = ["space", "lambda_norm", "r0", "t", "n_paths", "mc_value", "mc_se", "closed_form"]
     _write_csv(cfg.out, header, rows, cfg.config_hash())
     return 0
 
 
 def _cmd_table(cfg: ExperimentConfig, t_values: list[float]) -> int:
+    flat = cfg.space is ModelSpace.FLAT
+    if flat and (problems := _flat_order_problems(cfg.lambda_norms, max(map(_table_scale, t_values), default=0.0))):
+        raise ConfigError(problems)
     rows = []
     for ln in cfg.lambda_norms:
-        if cfg.space is ModelSpace.FLAT:
+        if flat:
             for t in t_values:
-                scaled = ln * math.sqrt(6.0 / math.log(t)) if t > 1 else ln
-                rows.append([cfg.space.value, ln, cfg.r0, t, specfun.flat_laplace(cfg.r0, t, scaled)])
+                rows.append([cfg.space.value, ln, cfg.r0, t, specfun.flat_laplace(cfg.r0, t, ln * _table_scale(t))])
         rows.append([cfg.space.value, ln, cfg.r0, "inf", _CLOSED_FORMS[cfg.space][1](ln, cfg.r0)])
     header = ["space", "lambda_norm", "r0", "t", "closed_form_value"]
     _write_csv(cfg.out, header, rows, cfg.config_hash(t_values=t_values))

@@ -123,7 +123,7 @@ def _radial_step(law, implicit_root, r, drift, rate, clock, noise, dt, hi_guard,
         if out.size:
             raise SimulationError(
                 f"radial path {out[0]} ({out.size} outside) left ({R_MIN:.3g}, {hi_guard:.3g}) "
-                f"at t = {t_now:.6g}", exit_time=t_now)
+                f"at t = {t_now:.6g}")
     drift, new_rate = law(prop)
     clock += 0.5 * dt * (rate + new_rate)
     return prop, drift, new_rate

@@ -10,14 +10,7 @@ class DomainError(OctowindError, ValueError):
 
 
 class SimulationError(OctowindError, RuntimeError):
-    """A path left its admissible domain or a step could not be completed.
-
-    Carries the simulation time at which the failure occurred when known.
-    """
-
-    def __init__(self, message, exit_time=None):
-        super().__init__(message)
-        self.exit_time = exit_time
+    """A path left its admissible domain or a step could not be completed."""
 
 
 class QuadratureError(OctowindError, RuntimeError):

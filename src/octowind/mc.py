@@ -54,7 +54,7 @@ def _block(job):
     try:
         fields = kernel(*args, n, rng, **kwargs)
     except SimulationError as exc:
-        raise SimulationError(f"block {i}: {exc}", exit_time=exc.exit_time) from None
+        raise SimulationError(f"block {i}: {exc}") from None
     return (*fields, sample_windings_timechange(fields[1], rng)) if want_winding else fields
 
 
@@ -117,9 +117,6 @@ def run_radial_mc(
 
 @dataclass(frozen=True)
 class CoordinateMcResult:
-    space: ModelSpace
-    t_end: float
-    seed: int
     zeta: np.ndarray
     n_switched: int  # paths finished via the skew-product fallback
 
@@ -138,7 +135,7 @@ def run_coordinate_mc(
     """Line-integral windings over n_paths coordinate trajectories."""
     zeta, switched = _run_blocks(simulate_coordinate_batch, (space, np.asarray(w0, dtype=float), t_end, dt),
                                  n_paths, seed, block_size, workers, scheme=scheme)
-    return CoordinateMcResult(space, t_end, seed, zeta, int(switched.sum()))
+    return CoordinateMcResult(zeta, int(switched.sum()))
 
 
 def run_flat_exact_mc(

@@ -1,10 +1,10 @@
 """Closed-form quantities for the winding laws on the three model spaces.
 
-Contains the modified Bessel function of real order, the Hartman-Watson
-conditional Laplace transform, the finite-time flat-space transform by
-quadrature, the three limiting characteristic functions, and the hyperbolic
-moment cascade under the tilted measure.  SciPy is imported by the three
-functions that call it, so the other closed forms run without loading it.
+Contains the modified Bessel function of real order, the finite-time
+flat-space transform by quadrature, the three limiting characteristic
+functions, and the hyperbolic moment cascade under the tilted measure.
+SciPy is imported by the two functions that call it, so the other closed
+forms run without loading it.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ QUAD_RTOL = 1e-8
 
 #: Largest |lambda| the closed forms take; the hyperbolic limit's correction grows like |lambda|^3.
 LAMBDA_MAX = sys.float_info.max ** (1.0 / 3.0)
+
+#: Largest Bessel order flat_laplace takes; scipy.special.ive returns NaN above it.
+FLAT_ORDER_MAX = 2.0 ** 30 - 0.5
 
 
 def order_from_lambda(lambda_norm: float) -> float:
@@ -54,64 +57,12 @@ def bessel_i(nu: float, x: float) -> float:
     return value
 
 
-def hartman_watson_ratio(lambda_norm: float, rho: float, r: float, t: float) -> float:
-    """Conditional transform E[exp(-|lambda|^2 A_t / 2) | R(t) = r].
-
-    Equals I_nu(z) / I_3(z) at z = rho r / t with nu = sqrt(9 + |lambda|^2);
-    lies in (0, 1] because the order nu is at least 3 (a value below the
-    smallest double rounds to 0).  The exponentially scaled Bessel functions
-    give it wherever both are normal doubles; below that (small z) it comes
-    from the power series in log space, and where they are NaN (z >= 2^30)
-    from the Hankel expansion.
-    """
-    from scipy import special
-
-    if rho <= 0 or r <= 0 or t <= 0:
-        raise DomainError("hartman_watson_ratio requires positive rho, r, t")
-    nu = order_from_lambda(lambda_norm)
-    z = rho * r / t
-    if nu == 3.0:
-        return 1.0
-    num, den = special.ive(nu, z), special.ive(3.0, z)
-    if num >= sys.float_info.min and den >= sys.float_info.min:
-        return float(num / den)
-    if math.isnan(num) or math.isnan(den):
-        return _hankel_sum(nu, z) / _hankel_sum(3.0, z)
-    if z == 0.0:  # rho r / t underflowed; the ratio's limit
-        return 0.0
-    log_ratio = ((nu - 3.0) * math.log(0.5 * z) + math.lgamma(4.0) - math.lgamma(nu + 1.0)
-                 + math.log(_power_sum(nu, z) / _power_sum(3.0, z)))
-    return math.exp(log_ratio)
-
-
-def _power_sum(nu: float, z: float) -> float:
-    """I_nu(z) / ((z/2)^nu / Gamma(nu + 1)), summed from its power series."""
-    q = 0.25 * z * z
-    term = total = 1.0
-    k = 0
-    while term > 1e-17 * total:
-        k += 1
-        term *= q / (k * (nu + k))
-        total += term
-    return total
-
-
-def _hankel_sum(nu: float, z: float) -> float:
-    """sqrt(2 pi z) exp(-z) I_nu(z) from the first terms of Hankel's large-z
-    expansion; accurate to rounding for z >= 2^30 and nu up to ~1e3."""
-    mu = 4.0 * nu * nu
-    term = total = 1.0
-    for k in range(1, 6):
-        term *= -(mu - (2 * k - 1) ** 2) / (8.0 * k * z)
-        total += term
-    return total
-
-
 def flat_laplace(rho: float, t: float, lambda_norm: float) -> float:
     """Finite-time transform E_rho[exp(-|lambda|^2 A_t / 2)] on the flat space.
 
     Integrates the Bessel(8) endpoint density against the Hartman-Watson
-    ratio, reduced to a single quadrature in the rescaled endpoint variable:
+    ratio E[exp(-|lambda|^2 A_t / 2) | R(t) = r] = I_nu(z) / I_3(z), z = rho r / t,
+    reduced to a single quadrature in the rescaled endpoint variable:
     t^1.5 / rho^3 * int r^4 exp(-(r - c)^2 / 2) ive(nu, c r) dr with
     c = rho / sqrt(t).  The exponentially scaled Bessel function absorbs the
     prefactor exp(-rho^2 / 2t), so no factor overflows for small t.
@@ -121,6 +72,8 @@ def flat_laplace(rho: float, t: float, lambda_norm: float) -> float:
     if rho <= 0 or t <= 0:
         raise DomainError("flat_laplace requires rho > 0 and t > 0")
     nu = order_from_lambda(lambda_norm)
+    if nu > FLAT_ORDER_MAX:
+        raise DomainError(f"flat_laplace requires the order {nu:.4g} <= {FLAT_ORDER_MAX!r}")
     c = rho / math.sqrt(t)
 
     def integrand(r):
@@ -159,8 +112,16 @@ def oh1_limit_charfn(lambda_norm: float, r0: float) -> float:
     """
     if r0 <= 0:
         raise DomainError("oh1_limit_charfn requires r0 > 0")
-    nu, a = _oh1_terms(float(lambda_norm), r0)
-    return math.tanh(r0) ** (nu - 3.0) * (1.0 + (6.0 * nu - 18.0) * a / math.cosh(r0) ** 6)
+    lam = float(lambda_norm)
+    try:
+        ch6 = math.cosh(r0) ** 6
+    except OverflowError:  # r0 above ~119: both factors, written in q = e^{-2 r0}, stay finite
+        nu, q = order_from_lambda(lam), math.exp(-2.0 * r0)
+        s = 4.0 * q / (1.0 + q) ** 2  # sech^2(r0)
+        a_ch6 = s / 12.0 + (nu - 2.0) * s * s / 60.0 + (lam * lam - 3.0 * nu + 11.0) * s ** 3 / 720.0
+        return math.exp(-2.0 * (nu - 3.0) * math.atanh(q)) * (1.0 + (6.0 * nu - 18.0) * a_ch6)
+    nu, a = _oh1_terms(lam, r0)
+    return math.tanh(r0) ** (nu - 3.0) * (1.0 + (6.0 * nu - 18.0) * a / ch6)
 
 
 def oh1_limit_charfn_expanded(lambda_norm: float, r0: float) -> float:

@@ -83,8 +83,6 @@ def gaussian_test(
     if len(zeta) < 100:
         raise DomainError("gaussian_test needs at least 100 samples")
     target_cov = np.asarray(target_cov, dtype=float)
-    if np.isscalar(target_cov) or target_cov.ndim == 0:
-        target_cov = float(target_cov) * np.eye(7)
     diag = np.diag(target_cov)
     if np.any(diag <= 0):
         raise DomainError("target covariance is degenerate")

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from octowind import cli, geometry
-from octowind.errors import ConfigError
+from octowind import cli, geometry, mc, specfun
+from octowind.errors import ConfigError, QuadratureError
 from octowind.geometry import ModelSpace
 
 
@@ -173,6 +173,32 @@ def test_charfn_flat_matches_quadrature(tmp_path, capsys):
     assert abs(mc_value - closed) < 6 * mc_se + 0.01
 
 
+@pytest.mark.parametrize("argv,value", [
+    (["table", "--space", "hyperbolic", "--r0", "200"], "1.0"),
+    (["charfn", "--space", "hyperbolic", "--r0", "200", "--t", "0.1", "--paths", "10"], "1.0"),
+    # 1.5e9 * sqrt(6 / log 1e8) is inside the Bessel range that flat_laplace takes.
+    (["table", "--space", "flat", "--lambda-norm", "1.5e9", "--t-values", "1e8"], "0.0"),
+], ids=["table_hyperbolic", "charfn_hyperbolic", "table_flat"])
+def test_closed_forms_at_extreme_inputs(capsys, argv, value):
+    assert _run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1].split(",")[-1] == value
+
+
+def test_charfn_evaluates_the_closed_form_before_the_run(monkeypatch, capsys):
+    def failing(*args):
+        raise QuadratureError("closed form failed")
+
+    def run(*args, **kwargs):
+        raise AssertionError("the Monte Carlo run started")
+    monkeypatch.setattr(specfun, "flat_laplace", failing)
+    monkeypatch.setattr(mc, "run_radial_mc", run)
+    assert _run(["charfn", "--space", "flat", "--t", "0.1", "--paths", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: closed form failed\n" and captured.out == ""
+
+
 def test_table_flat(tmp_path):
     out = tmp_path / "tab.csv"
     argv = ["table", "--space", "flat", "--r0", "1.0", "--lambda-norm", "1.0",
@@ -265,6 +291,10 @@ def test_w0_is_rejected_outside_simulate(tmp_path, capsys, command, source):
     *(([cmd, "--space", space, "--lambda-norm", "1e200"], "1e+200")
       for cmd in ("charfn", "table") for space in ("flat", "projective", "hyperbolic")),
     (["charfn", "--space", "hyperbolic", "--lambda-norm", "1e120"], "1e+120"),
+    # The Bessel order that flat_laplace would be passed: table scales |lambda| by sqrt(6 / log t).
+    (["table", "--space", "flat", "--lambda-norm", "1e50", "--t-values", "1e3"], "1e+50"),
+    (["table", "--space", "flat", "--lambda-norm", "1e9", "--t-values", "2"], "1000000000.0"),
+    (["charfn", "--space", "flat", "--lambda-norm", "2e9"], "2000000000.0"),
 ])
 def test_invalid_cli_input_exits_2(tmp_path, monkeypatch, capsys, argv, named):
     monkeypatch.chdir(tmp_path)

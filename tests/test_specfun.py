@@ -56,38 +56,7 @@ def test_order_and_tilts():
 
 
 # ---------------------------------------------------------------------------
-# Hartman-Watson ratio and the finite-time flat transform
-
-def test_hartman_watson_basic():
-    assert specfun.hartman_watson_ratio(0.0, 1.0, 2.0, 3.0) == 1.0
-    vals = [specfun.hartman_watson_ratio(ln, 1.0, 2.0, 3.0) for ln in (0.0, 0.5, 1.0, 2.0)]
-    assert all(0.0 < v <= 1.0 for v in vals)
-    assert vals == sorted(vals, reverse=True)
-    with pytest.raises(DomainError):
-        specfun.hartman_watson_ratio(1.0, 0.0, 1.0, 1.0)
-
-
-@pytest.mark.parametrize("z", [1e-150, 1e-100, 1e-3, 1.0, 1e3, 2e9, 1e12])
-@pytest.mark.parametrize("ln", [0.5, 1.0, 2.0, 5.0])
-def test_hartman_watson_ratio_vs_mpmath(ln, z):
-    # Below z ~ 1e-100 the scaled Bessel functions underflow, and from
-    # z = 2^30 on scipy returns NaN; the ratio must stay finite and in [0, 1].
-    from scipy import special
-
-    nu = specfun.order_from_lambda(ln)
-    with mpmath.workdps(40):
-        ref = float(mpmath.besseli(nu, z) / mpmath.besseli(3, z))
-    got = specfun.hartman_watson_ratio(ln, z, 1.0, 1.0)
-    assert math.isfinite(got) and 0.0 <= got <= 1.0
-    assert abs(got - ref) <= 1e-12 * ref
-    if 1e-3 <= z <= 1e3:
-        assert got == float(special.ive(nu, z) / special.ive(3.0, z))
-
-
-def test_hartman_watson_ratio_at_an_underflowed_argument():
-    assert specfun.hartman_watson_ratio(1.0, 1e-200, 1e-200, 1.0) == 0.0
-    assert 0.0 < specfun.hartman_watson_ratio(0.5, 1e-200, 1.0, 1.0) < 1e-8
-
+# The finite-time flat transform
 
 def test_flat_laplace_normalization_and_monotonicity():
     assert specfun.flat_laplace(1.0, 10.0, 0.0) == pytest.approx(1.0, abs=1e-8)
@@ -97,6 +66,14 @@ def test_flat_laplace_normalization_and_monotonicity():
         specfun.flat_laplace(0.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         specfun.flat_laplace(1.0, 0.0, 1.0)
+
+
+def test_flat_laplace_refuses_an_order_past_the_bessel_range():
+    # scipy.special.ive is NaN past FLAT_ORDER_MAX; at the bound the transform is still a number.
+    assert specfun.flat_laplace(1.0, 10.0, 2.0 ** 30 - 1) == 0.0
+    for ln in (2.0 ** 30, 1e50):
+        with pytest.raises(DomainError, match="order"):
+            specfun.flat_laplace(1.0, 10.0, ln)
 
 
 def test_flat_laplace_vs_mpmath_quadrature():
@@ -157,6 +134,18 @@ def test_limit_charfns_stay_finite_up_to_lambda_max():
     for r0 in (0.5, 1.0, 2.0):
         assert specfun.oh1_limit_charfn(big, r0) == specfun.oh1_limit_charfn_expanded(big, r0) == 0.0
     assert specfun.flat_limit_charfn(big) == specfun.op1_limit_charfn(big) == 0.0
+
+
+@pytest.mark.parametrize("r0", [119.0, 120.0, 200.0, 400.0])
+@pytest.mark.parametrize("ln", [1.0, 1e100, 1e102, specfun.LAMBDA_MAX])
+def test_oh1_limit_stays_finite_where_cosh6_overflows(ln, r0):
+    # Past r0 ~ 119, cosh^6(r0) overflows a double; the limit is still tanh(r0)^(nu-3)
+    # times the correction, which mpmath evaluates with enough digits to resolve 1 - tanh(r0).
+    with mpmath.workdps(400):
+        nu, ch2 = mpmath.sqrt(9 + mpmath.mpf(ln) ** 2), mpmath.cosh(r0) ** 2
+        a = ch2 * ch2 / 12 + (nu - 2) * ch2 / 60 + (mpmath.mpf(ln) ** 2 - 3 * nu + 11) / 720
+        ref = float(mpmath.tanh(r0) ** (nu - 3) * (1 + (6 * nu - 18) * a / ch2 ** 3))
+    assert specfun.oh1_limit_charfn(ln, r0) == pytest.approx(ref, rel=1e-13)
 
 
 def test_oh1_factored_and_expanded_agree():
