@@ -31,7 +31,7 @@ import numpy as np
 
 from . import engine, mc, specfun, stats
 from .engine import DEFAULT_SEED, SCHEMES, STRATONOVICH_HEUN, SimConfig
-from .errors import ConfigError, OctowindError
+from .errors import ConfigError, DomainError, OctowindError
 from .geometry import ModelSpace
 from .octonion import mul_array, printed_winding, winding_form_array
 
@@ -223,21 +223,22 @@ _CLOSED_FORMS = {
 }
 
 
-def _flat_order_problems(lambda_norms, scale: float) -> list[str]:
-    """Why flat_laplace cannot take |lambda| = entry * scale, the largest a subcommand passes it."""
-    return [f"lambda_norms entry {ln!r} gives flat_laplace the Bessel order {nu:.4g} > {specfun.FLAT_ORDER_MAX!r}"
-            for ln in lambda_norms if (nu := specfun.order_from_lambda(ln * scale)) > specfun.FLAT_ORDER_MAX]
-
-
-def _table_scale(t: float) -> float:
-    """The flat limit's factor sqrt(6 / log t), which table applies to |lambda| past t = 1."""
-    return math.sqrt(6.0 / math.log(t)) if t > 1 else 1.0
+def _closed_form_values(entries) -> list[float]:
+    """form(*args) for each (|lambda|, t, form, args); each DomainError is one listed config error."""
+    values, problems = [], []
+    for ln, t, form, args in entries:
+        try:
+            values.append(form(*args))
+        except DomainError as exc:
+            problems.append(f"lambda_norms entry {ln!r} at t = {t}: {exc}")
+    if problems:
+        raise ConfigError(problems)
+    return values
 
 
 def _cmd_charfn(cfg: ExperimentConfig) -> int:
-    if cfg.space is ModelSpace.FLAT and (problems := _flat_order_problems(cfg.lambda_norms, 1.0)):
-        raise ConfigError(problems)
-    closed = [_CLOSED_FORMS[cfg.space][0](ln, cfg.r0, cfg.t_end) for ln in cfg.lambda_norms]  # fail before the run
+    closed = _closed_form_values([(ln, cfg.t_end, _CLOSED_FORMS[cfg.space][0], (ln, cfg.r0, cfg.t_end))
+                                  for ln in cfg.lambda_norms])  # before the run
     stop_tol = 1e-13 if cfg.space is ModelSpace.HYPERBOLIC else None
     result = mc.run_radial_mc(
         cfg.space, cfg.r0, cfg.t_end, cfg.dt, cfg.n_paths, seed=cfg.seed,
@@ -255,15 +256,12 @@ def _cmd_charfn(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_table(cfg: ExperimentConfig, t_values: list[float]) -> int:
-    flat = cfg.space is ModelSpace.FLAT
-    if flat and (problems := _flat_order_problems(cfg.lambda_norms, max(map(_table_scale, t_values), default=0.0))):
-        raise ConfigError(problems)
-    rows = []
-    for ln in cfg.lambda_norms:
-        if flat:
-            for t in t_values:
-                rows.append([cfg.space.value, ln, cfg.r0, t, specfun.flat_laplace(cfg.r0, t, ln * _table_scale(t))])
-        rows.append([cfg.space.value, ln, cfg.r0, "inf", _CLOSED_FORMS[cfg.space][1](ln, cfg.r0)])
+    # Per |lambda|, the flat rows (of sqrt(6 / log t) zeta(t) past t = 1, as in the flat limit), then the limit.
+    finite, limit = _CLOSED_FORMS[cfg.space]
+    entries = [(ln, t, limit, (ln, cfg.r0)) if t == "inf" else
+               (ln, t, finite, (ln * (math.sqrt(6.0 / math.log(t)) if t > 1 else 1.0), cfg.r0, t))
+               for ln in cfg.lambda_norms for t in [*(t_values if cfg.space is ModelSpace.FLAT else []), "inf"]]
+    rows = [[cfg.space.value, ln, cfg.r0, t, v] for (ln, t, _, _), v in zip(entries, _closed_form_values(entries))]
     header = ["space", "lambda_norm", "r0", "t", "closed_form_value"]
     _write_csv(cfg.out, header, rows, cfg.config_hash(t_values=t_values))
     if cfg.out:

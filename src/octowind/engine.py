@@ -45,14 +45,18 @@ def make_rng(seed: int, stream: tuple[int, ...] = ()) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed), spawn_key=tuple(stream))))
 
 
+#: Largest horizon: inside the guard the clock rate is below ~1 / R_MIN^2, so the clock stays a double.
+T_END_MAX = sys.float_info.max * R_MIN ** 2 / 2
+
+
 def sim_problems(space: ModelSpace, t_end: float, dt: float, scheme: str = STRATONOVICH_HEUN,
                  r0=None, w0=None) -> list[str]:
     """Every reason why these parameters cannot define a path simulation."""
     problems = [] if w0 is None or np.shape(w0) == (8,) else ["w0 must have 8 components"]
     if not dt > 0:
         problems.append(f"dt = {dt} violates dt > 0")
-    elif not dt <= t_end < math.inf:
-        problems.append(f"t_end = {t_end} violates dt <= t_end < inf")
+    elif not dt <= t_end <= T_END_MAX:
+        problems.append(f"t_end = {t_end} violates dt <= t_end <= {T_END_MAX:.4g}, past which the clock overflows")
     elif not t_end / dt <= sys.maxsize:  # the step count must fit an index
         problems.append(f"t_end / dt = {t_end / dt:g} violates t_end / dt <= {sys.maxsize}")
     if scheme not in SCHEMES:

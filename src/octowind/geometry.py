@@ -103,6 +103,9 @@ def _flat_radial(tilt):
         raise DomainError("flat tilt must keep the Bessel drift positive (mu > -3.5)")
 
     def law(r):
+        # Past r ~ 1.3e154 r * r overflows; the rate is below 1e-308, and (1 / r)^2 underflows to it quietly.
+        if not r.max(initial=0.0) < 1e154:
+            return k / r, (1.0 / r) ** 2
         return k / r, 1.0 / (r * r)
     return law, lambda target, dt: 0.5 * (target + np.sqrt(target * target + 4.0 * k * dt))
 

@@ -53,7 +53,8 @@ def mc_charfn(result, lambda_norm: float) -> McEstimate:
     zeta, clock = _gather(result)
     lam = float(lambda_norm)
     if clock is not None:
-        draws = np.exp(-0.5 * (lam * lam) * clock)
+        with np.errstate(over="ignore"):  # past the double range the exponent is -inf, and the draw its limit 0
+            draws = np.exp(-0.5 * (lam * lam) * clock)
     else:
         draws = np.cos(lam * zeta[:, 0])
     n = draws.size

@@ -1,7 +1,11 @@
 """CLI harness: config validation, artifacts, reproducibility, verify suites."""
 
+import contextlib
+import csv
 import dataclasses
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octowind import cli, geometry, mc, specfun
 from octowind.errors import ConfigError, QuadratureError
@@ -178,7 +184,9 @@ def test_charfn_flat_matches_quadrature(tmp_path, capsys):
     (["charfn", "--space", "hyperbolic", "--r0", "200", "--t", "0.1", "--paths", "10"], "1.0"),
     # 1.5e9 * sqrt(6 / log 1e8) is inside the Bessel range that flat_laplace takes.
     (["table", "--space", "flat", "--lambda-norm", "1.5e9", "--t-values", "1e8"], "0.0"),
-], ids=["table_hyperbolic", "charfn_hyperbolic", "table_flat"])
+    # Where tanh(r0) rounds to 1, the hyperbolic limit at a large |lambda| is 0, not 1.41e39.
+    (["table", "--space", "hyperbolic", "--r0", "100", "--lambda-norm", "1e100"], "0.0"),
+], ids=["table_hyperbolic", "charfn_hyperbolic", "table_flat", "table_hyperbolic_large_lambda"])
 def test_closed_forms_at_extreme_inputs(capsys, argv, value):
     assert _run(argv) == 0
     captured = capsys.readouterr()
@@ -295,6 +303,9 @@ def test_w0_is_rejected_outside_simulate(tmp_path, capsys, command, source):
     (["table", "--space", "flat", "--lambda-norm", "1e50", "--t-values", "1e3"], "1e+50"),
     (["table", "--space", "flat", "--lambda-norm", "1e9", "--t-values", "2"], "1000000000.0"),
     (["charfn", "--space", "flat", "--lambda-norm", "2e9"], "2000000000.0"),
+    # ... and the largest Bessel argument of its window, about (r0 / sqrt(t))^2.
+    (["table", "--space", "flat", "--r0", "1", "--t-values", "1e-12"], "1e-12"),
+    (["charfn", "--space", "flat", "--r0", "1e6", "--t", "0.01", "--paths", "10"], "0.01"),
 ])
 def test_invalid_cli_input_exits_2(tmp_path, monkeypatch, capsys, argv, named):
     monkeypatch.chdir(tmp_path)
@@ -303,6 +314,54 @@ def test_invalid_cli_input_exits_2(tmp_path, monkeypatch, capsys, argv, named):
     err = capsys.readouterr().err
     assert err.startswith("config error") and named in err
     assert not (tmp_path / "o.csv").exists()
+
+
+# Closed-form inputs: the boundaries of each range, the ends of the double range, NaN, infinities,
+# negative values and ordinary small values.
+_NUMBER = st.one_of(
+    st.sampled_from(["0", "-1", "-0.5", "5e-324", "1e-300", "1e300", "1e200", "-1e200", "nan", "inf", "-inf",
+                     repr(geometry.R_MIN), repr(geometry.R_MIN * (1 + 1e-9)), repr(math.pi / 2 - 2e-6),
+                     repr(math.pi / 2), "118", "120", "350", "1e4", "3e4", "1e9", "2e9",
+                     repr(specfun.LAMBDA_MAX), repr(math.nextafter(specfun.LAMBDA_MAX, math.inf))]),
+    st.floats(min_value=1e-3, max_value=1.5).map(repr),
+    st.floats(min_value=1e-3, max_value=1e3).map(repr),
+    st.floats().map(repr),
+)
+_NUMBERS = st.lists(_NUMBER, min_size=1, max_size=3).map(",".join)
+_SPACE = st.sampled_from(["flat", "projective", "hyperbolic"])
+
+
+def _exit_0_or_2(argv: list[str], column: str) -> None:
+    """Exit 0 with every closed-form value in [-1, 1], or exit 2 with only config errors listed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    if code == 2:
+        assert all(line.startswith("config error:") for line in err.getvalue().splitlines()), err.getvalue()
+        return
+    lines = out.getvalue().splitlines()
+    rows = list(csv.DictReader(lines[[i for i, line in enumerate(lines) if line.startswith("# config")][0] + 1:]))
+    assert rows
+    for row in rows:
+        assert math.isfinite(v := float(row[column])) and abs(v) <= 1 + 1e-6, (argv, row)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(space=_SPACE, r0=_NUMBER, lambda_norms=_NUMBERS, t_values=_NUMBERS)
+def test_table_generated_closed_form_inputs(space, r0, lambda_norms, t_values):
+    # key=value flags, so that argparse takes a leading minus sign as part of the value
+    _exit_0_or_2(["table", f"--space={space}", f"--r0={r0}", f"--lambda-norm={lambda_norms}",
+                  f"--t-values={t_values}", "--workers=1"], "closed_form_value")
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(space=_SPACE, r0=_NUMBER, lambda_norms=_NUMBERS, t=_NUMBER, steps=st.integers(1, 50),
+       paths=st.integers(1, 4))
+def test_charfn_generated_closed_form_inputs(space, r0, lambda_norms, t, steps, paths):
+    # At most 4 paths and 50 steps: dt = t / steps.
+    _exit_0_or_2(["charfn", f"--space={space}", f"--r0={r0}", f"--lambda-norm={lambda_norms}", f"--t={t}",
+                  f"--dt={float(t) / steps!r}", f"--paths={paths}", "--workers=1"], "closed_form")
 
 
 @pytest.mark.parametrize("out", ["missing/o.csv", "."], ids=["missing_dir", "directory"])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from octowind.engine import (
     simulate_flat_exact_batch,
     simulate_radial,
     simulate_radial_batch,
+    sim_problems,
 )
 from octowind.errors import DomainError, SimulationError
 from octowind.geometry import R_MIN, ModelSpace
@@ -53,6 +55,18 @@ def test_make_rng_deterministic_streams():
 # ---------------------------------------------------------------------------
 # Configuration validation
 
+@pytest.mark.parametrize("space,r0", [(ModelSpace.FLAT, 1.0), (ModelSpace.PROJECTIVE, 2 * R_MIN),
+                                      (ModelSpace.HYPERBOLIC, 1.0)])
+def test_radial_clock_stays_finite_up_to_the_largest_horizon(space, r0):
+    # Inside the guard the clock rate is below ~1 / R_MIN^2, so up to the largest horizon
+    # sim_problems accepts, ten steps raise no overflow (every warning is an error here).
+    t_max = engine.T_END_MAX
+    assert t_max == sys.float_info.max * R_MIN ** 2 / 2
+    assert not sim_problems(space, t_max, t_max / 10, r0=r0) and sim_problems(space, 2 * t_max, t_max, r0=r0)
+    r, clock = simulate_radial_batch(space, r0, t_max, t_max / 10, 4, make_rng(3))[:2]
+    assert np.isfinite(r).all() and np.isfinite(clock).all() and (clock > 0).all()
+
+
 def test_simconfig_validation():
     with pytest.raises(DomainError):
         SimConfig(space=ModelSpace.FLAT, t_end=1.0, dt=-1e-3, r0=1.0)
@@ -63,6 +77,8 @@ def test_simconfig_validation():
     for dt in (1e-300, 5e-324):  # a step count past sys.maxsize, or an infinite one
         with pytest.raises(DomainError, match="t_end / dt"):
             SimConfig(space=ModelSpace.FLAT, t_end=1.0, dt=dt, r0=1.0)
+    with pytest.raises(DomainError, match="clock overflows"):
+        SimConfig(space=ModelSpace.FLAT, t_end=1e300, dt=1e299, r0=1.0)
     with pytest.raises(DomainError):
         SimConfig(space=ModelSpace.FLAT, t_end=1.0, dt=1e-3, r0=1.0, scheme="milstein")
     with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 """Closed-form special functions, with mpmath and calculus-based oracles."""
 
 import math
+import sys
 
 import mpmath
 import pytest
@@ -69,11 +70,48 @@ def test_flat_laplace_normalization_and_monotonicity():
 
 
 def test_flat_laplace_refuses_an_order_past_the_bessel_range():
-    # scipy.special.ive is NaN past FLAT_ORDER_MAX; at the bound the transform is still a number.
+    # scipy.special.ive is NaN past IVE_MAX; at the bound the transform is still a number.
     assert specfun.flat_laplace(1.0, 10.0, 2.0 ** 30 - 1) == 0.0
     for ln in (2.0 ** 30, 1e50):
         with pytest.raises(DomainError, match="order"):
             specfun.flat_laplace(1.0, 10.0, ln)
+
+
+def test_flat_laplace_refuses_an_argument_past_the_bessel_range():
+    # scipy.special.ive is NaN past IVE_MAX in the argument as well; the window's largest
+    # argument is c (c + 39), so the first c that takes it past IVE_MAX is refused.
+    from scipy import special
+    assert math.isfinite(special.ive(3.0, specfun.IVE_MAX)) and math.isnan(special.ive(3.0, 2.0 ** 30))
+    c = (math.sqrt(39.0 ** 2 + 4.0 * specfun.IVE_MAX) - 39.0) / 2.0
+    while c * (c + 39.0) > specfun.IVE_MAX:
+        c = math.nextafter(c, 0.0)
+    while c * (c + 39.0) <= specfun.IVE_MAX:
+        c = math.nextafter(c, math.inf)
+    assert specfun.flat_laplace(math.nextafter(c, 0.0), 1.0, 0.0) == pytest.approx(1.0, abs=1e-8)
+    with pytest.raises(DomainError, match="argument"):
+        specfun.flat_laplace(c, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("t", [1e300, 1e205])
+def test_flat_laplace_refuses_c_below_1e_minus_100(t):
+    # The lambda = 0 integral is c^3, which nears the subnormal doubles below c = 1e-100.
+    assert specfun.flat_laplace(1.0, 1e190, 0.0) == pytest.approx(1.0, abs=1e-8)
+    with pytest.raises(DomainError, match="sqrt"):
+        specfun.flat_laplace(1.0, t, 0.0)
+
+
+@pytest.mark.parametrize("c", [5250.0, 1e4, 1.8e4, 3e4])
+def test_flat_laplace_where_the_endpoint_peak_is_narrow(c):
+    # The endpoint density is a peak of width 1 at r = c; an integration window of
+    # length ~3c misses it from c ~ 5,250 on.  At lambda = 0 the transform is 1.
+    assert specfun.flat_laplace(1.0, 1.0 / c ** 2, 0.0) == pytest.approx(1.0, abs=1e-8)
+    ln = 1e4
+    with mpmath.workdps(20):
+        cm, nu = mpmath.mpf(c), mpmath.sqrt(9 + mpmath.mpf(ln) ** 2)
+        integral = mpmath.quad(lambda r: r ** 4 * mpmath.exp(-(r - cm) ** 2 / 2 - cm * r) * mpmath.besseli(nu, cm * r),
+                               [cm - 12, cm - 3, cm, cm + 3, cm + 12])
+        ref = float(integral / cm ** 3)
+    assert specfun.flat_laplace(1.0, 1.0 / c ** 2, ln) == pytest.approx(ref, rel=1e-10)
 
 
 def test_flat_laplace_vs_mpmath_quadrature():
@@ -146,6 +184,33 @@ def test_oh1_limit_stays_finite_where_cosh6_overflows(ln, r0):
         a = ch2 * ch2 / 12 + (nu - 2) * ch2 / 60 + (mpmath.mpf(ln) ** 2 - 3 * nu + 11) / 720
         ref = float(mpmath.tanh(r0) ** (nu - 3) * (1 + (6 * nu - 18) * a / ch2 ** 3))
     assert specfun.oh1_limit_charfn(ln, r0) == pytest.approx(ref, rel=1e-13)
+
+
+_R0_GRID = [1e-6 * (1 + 1e-9), 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 118.0, 120.0, 200.0, 350.0]
+
+
+@pytest.mark.parametrize("r0", _R0_GRID)
+def test_oh1_limit_vs_mpmath(r0):
+    # Where tanh(r0) rounds to a double, tanh(r0)^(nu-3) and the cosh^-6 correction no longer
+    # cancel in double precision unless both are written in q = e^{-2 r0}: (1e16, 20) is 0.99928.
+    for ln in (0.0, 0.5, 1.0, 2.0, 10.0, 1e3, 1e8, 1e16, 1e50, 1e100, 0.999 * specfun.LAMBDA_MAX):
+        with mpmath.workdps(400):
+            lm = mpmath.mpf(ln)
+            nu, ch2 = mpmath.sqrt(9 + lm ** 2), mpmath.cosh(r0) ** 2
+            a = ch2 * ch2 / 12 + (nu - 2) * ch2 / 60 + (lm ** 2 - 3 * nu + 11) / 720
+            ref = float(mpmath.tanh(r0) ** (nu - 3) * (1 + (6 * nu - 18) * a / ch2 ** 3))
+        value = specfun.oh1_limit_charfn(ln, r0)
+        assert abs(value) <= 1.0, (ln, value)
+        if abs(ref) >= sys.float_info.min:
+            assert value == pytest.approx(ref, rel=1e-12), ln
+
+
+def test_oh1_expanded_refuses_r0_where_cosh6_overflows():
+    r_max = math.acosh(sys.float_info.max ** (1.0 / 6.0))
+    assert math.isfinite(specfun.oh1_limit_charfn_expanded(1.0, r_max))
+    for r0 in (0.0, math.nextafter(r_max, math.inf), 200.0, 1000.0):
+        with pytest.raises(DomainError, match=f"r0 <= {r_max!r}"):
+            specfun.oh1_limit_charfn_expanded(1.0, r0)
 
 
 def test_oh1_factored_and_expanded_agree():

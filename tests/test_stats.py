@@ -35,6 +35,9 @@ def test_mc_charfn_accepts_batched_result():
     res = SimpleNamespace(zeta=None, clock_end=np.array([1.0, 2.0]))
     est = stats.mc_charfn(res, 1.0)
     assert est.value == pytest.approx(0.5 * (math.exp(-0.5) + math.exp(-1.0)), rel=1e-12)
+    # |lambda|^2 A_t / 2 past the double range: the draw is its limit 0, with no overflow warning.
+    huge = SimpleNamespace(zeta=None, clock_end=np.array([1e300, 1.0]))
+    assert stats.mc_charfn(huge, 1e10).value == 0.0
 
 
 def test_mc_charfn_input_errors():
