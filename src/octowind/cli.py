@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -36,9 +37,16 @@ from .geometry import ModelSpace
 from .octonion import mul_array, printed_winding, winding_form_array
 
 
+def _number(value) -> float:
+    """A number, or text that is one; not a boolean."""
+    if isinstance(value, bool):
+        raise ValueError(value)
+    return float(value)
+
+
 def _floats(value) -> list[float]:
     """A list of numbers, or comma-separated text of them."""
-    return [float(v) for v in (value.split(",") if isinstance(value, str) else value) if str(v).strip()]
+    return [_number(v) for v in (value.split(",") if isinstance(value, str) else value) if str(v).strip()]
 
 
 def _integer(value) -> int:
@@ -46,6 +54,13 @@ def _integer(value) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(value)
     return int(value)
+
+
+def _text(value) -> str:
+    """Text without a NUL byte, as a file name is; not a number, a boolean or a list."""
+    if not isinstance(value, str) or "\0" in value:
+        raise ValueError(value)
+    return value
 
 
 def _key(flag: str, convert, form: str, **default):
@@ -60,15 +75,15 @@ class ExperimentConfig:
 
     space: ModelSpace = _key("--space", lambda v: ModelSpace.parse(str(v)), "flat, projective or hyperbolic",
                              default=ModelSpace.FLAT)
-    t_end: float = _key("--t", float, "a finite number >= dt", default=10.0)
-    dt: float = _key("--dt", float, "a number > 0", default=1e-3)
+    t_end: float = _key("--t", _number, "a finite number >= dt", default=10.0)
+    dt: float = _key("--dt", _number, "a number > 0", default=1e-3)
     n_paths: int = _key("--paths", _integer, "an integer >= 1", default=10_000)
-    r0: Optional[float] = _key("--r0", float, "a number inside the radial domain", default=1.0)
+    r0: Optional[float] = _key("--r0", _number, "a number inside the radial domain", default=1.0)
     w0: Optional[np.ndarray] = _key("--w0", lambda v: np.array(_floats(v)), "8 comma-separated numbers", default=None)
     lambda_norms: list[float] = _key("--lambda-norm", _floats, "comma-separated |lambda| values >= 0",
                                      default_factory=lambda: [1.0])
     seed: int = _key("--seed", _integer, "an integer >= 0", default=DEFAULT_SEED)
-    out: Optional[str] = _key("--out", str, "output CSV path", default=None)
+    out: Optional[str] = _key("--out", _text, "output CSV path", default=None)
     scheme: str = _key("--scheme", str, " or ".join(SCHEMES), default=STRATONOVICH_HEUN)
     workers: int = _key("--workers", _integer, "an integer >= 1", default=1)
     block_size: int = _key("--block-size", _integer, "an integer >= 1", default=mc.DEFAULT_BLOCK_SIZE)
@@ -161,8 +176,11 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def _out_problems(path: Optional[str]) -> list[str]:
     """Why an artifact cannot be written to ``path``; checked before the run."""
-    if path and Path(path).is_dir():
-        return [f"out = {path!r} is a directory"]
+    try:
+        if path and Path(path).is_dir():
+            return [f"out = {path!r} is a directory"]
+    except OSError as exc:  # a name too long for the file system
+        return [f"out = {path!r}: {exc.strerror}"]
     if path and not os.access(Path(path).parent, os.W_OK):
         return [f"out = {path!r}: its directory is missing or not writable"]
     return []
@@ -381,6 +399,8 @@ def _resolve(args) -> ExperimentConfig:
         raw = _read(Path(args.config).read_text()) if args.config else {}
     except OSError as exc:
         raise ConfigError([f"config file {args.config!r}: {exc.strerror}"]) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"config file {args.config!r} is not UTF-8 text: {exc.reason}"]) from None
     raw.update({k.name: v for k in dataclasses.fields(ExperimentConfig) if (v := getattr(args, k.name)) is not None})
     problems = []
     if args.command != "simulate" and "w0" in raw:
@@ -392,9 +412,31 @@ def _resolve(args) -> ExperimentConfig:
     return _validate(raw, problems)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="octowind",
-                                     description="Brownian winding functionals on the octonionic model spaces")
+class _Parser(argparse.ArgumentParser):
+    """argparse whose refusals (an unknown flag, a flag without its value) are config errors."""
+
+    def error(self, message):
+        raise ConfigError([message])
+
+
+def _join_values(argv: list[str]) -> list[str]:
+    """argv with each --flag joined to a following word that starts with one minus sign
+    (--r0 -1e3 becomes --r0=-1e3): every flag but --help takes a value, and argparse
+    would read such a value as an unknown flag."""
+    out = []
+    for word in argv:
+        if (out and word[:1] == "-" and word[:2] != "--" and out[-1][:2] == "--" and "=" not in out[-1]
+                and not "--help".startswith(out[-1])):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser, built on first use."""
+    parser = _Parser(prog="octowind", description="Brownian winding functionals on the octonionic model spaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, text in (("simulate", "dump one trajectory to CSV"),
@@ -407,9 +449,12 @@ def main(argv=None) -> int:
     p_ver = sub.add_parser("verify", help="run a property suite")
     p_ver.add_argument("--suite", choices=[*_SUITES, "all"], default="all")
     p_ver.add_argument("--out", help="JSON report path")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
     try:
+        args = _parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
         if args.command == "verify":
             return _cmd_verify(args.suite, args.out)
         cfg = _resolve(args)

@@ -93,21 +93,15 @@ class SimConfig:
 class RadialPath:
     """Discretized radial trajectory with its accumulated clock."""
 
-    space: ModelSpace
     times: np.ndarray
     r: np.ndarray
     clock: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.diff(self.clock) < 0):
-            raise ValueError("clock must be nondecreasing")
 
 
 @dataclass(frozen=True)
 class CoordinatePath:
     """Discretized coordinate trajectory with the running winding integral."""
 
-    space: ModelSpace
     times: np.ndarray
     w: np.ndarray      # (n_steps + 1, 8); NaN from the switch to the skew product on
     zeta: np.ndarray   # (n_steps + 1, 7)
@@ -178,7 +172,7 @@ def simulate_radial(cfg: SimConfig, tilt=None) -> RadialPath:
     rng = make_rng(cfg.seed)
     states = [(t, r[0], a[0]) for t, r, a in _radial_states(cfg.space, cfg.r0, cfg.t_end, cfg.dt, 1, rng, tilt)]
     times, r, clock = (np.array(col) for col in zip(*states))
-    return RadialPath(cfg.space, times, r, clock)
+    return RadialPath(times, r, clock)
 
 
 def simulate_radial_batch(
@@ -269,7 +263,7 @@ def simulate_coordinate(cfg: SimConfig, rng: Optional[np.random.Generator] = Non
         states.append((t, w[:, 0], z[:, 0].copy()) if idx.size else (t, off_chart, zeta[0].copy()))
     times, w_hist, z_hist = (np.array(col) for col in zip(*states))
     z_hist[-1] = zeta[0]
-    return CoordinatePath(cfg.space, times, w_hist, z_hist)
+    return CoordinatePath(times, w_hist, z_hist)
 
 
 def _coordinate_states(space: ModelSpace, w0: np.ndarray, t_end: float, dt: float, n_paths: int,

@@ -166,7 +166,8 @@ def start_problems(space: ModelSpace, r0=None, w0=None) -> list[str]:
     if r0 is not None and not (R_MIN < r0 < spec.r_hi - R_MIN):
         problems.append(f"r0 = {r0} outside ({R_MIN}, {spec.r_hi - R_MIN:.6g}) for {space.value}")
     if w0 is not None:
-        r = float(spec.radius(np.linalg.norm(w0)))
+        with np.errstate(over="ignore"):  # a norm past the double range is inf, outside every chart
+            r = float(spec.radius(np.linalg.norm(w0)))
         if not (R_MIN < r < spec.chart_ceiling):
             problems.append(f"w0 at radius {r:.4g} outside the chart bound ({R_MIN}, "
                             f"{spec.chart_ceiling}) of {space.value}")
@@ -189,11 +190,6 @@ def _check_norm(space: ModelSpace, w_norm) -> np.ndarray:
     if np.any(w_norm < 0) or np.any(w_norm >= space.spec.norm_hi):
         raise DomainError(f"coordinate norm outside [0.0, {space.spec.norm_hi}) of the {space.value} chart")
     return w_norm
-
-
-def radial_drift(space: ModelSpace, r):
-    """Drift b(r) of the radial diffusion dr = b(r) dt + dB."""
-    return _scalar(space.spec.radial(None)[0](_check_radial(space, r))[0])
 
 
 def clock_rate(space: ModelSpace, r):

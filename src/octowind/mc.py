@@ -9,6 +9,7 @@ order-independent because blocks are always concatenated by index.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,11 +42,18 @@ def default_workers() -> int:
     return 1
 
 
+#: Largest path count whose (n, 8) block of per-step normals NumPy can index.
+N_PATHS_MAX = sys.maxsize // 64
+
+
 def run_problems(n_paths: int, block_size: int, workers: int, seed: int) -> list[str]:
     """Every reason why these settings cannot define a block run."""
-    return [f"{name} = {value} violates {name} >= {low}"
-            for name, value, low in (("n_paths", n_paths, 1), ("block_size", block_size, 1),
-                                     ("workers", workers, 1), ("seed", seed, 0)) if not value >= low]
+    problems = [f"{name} = {value} violates {name} >= {low}"
+                for name, value, low in (("n_paths", n_paths, 1), ("block_size", block_size, 1),
+                                         ("workers", workers, 1), ("seed", seed, 0)) if not value >= low]
+    if n_paths > N_PATHS_MAX:
+        problems.append(f"n_paths = {n_paths} violates n_paths <= {N_PATHS_MAX}")
+    return problems
 
 
 def _block(job):

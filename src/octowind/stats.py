@@ -21,7 +21,6 @@ from .geometry import ModelSpace
 class McEstimate:
     value: float
     std_error: float
-    n_samples: int
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ def mc_charfn(result, lambda_norm: float) -> McEstimate:
     n = draws.size
     value = float(draws.mean())
     se = float(draws.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return McEstimate(value=value, std_error=se, n_samples=n)
+    return McEstimate(value=value, std_error=se)
 
 
 def gaussian_test(
@@ -124,17 +123,16 @@ def stationary_density_check(radial_samples, space: ModelSpace) -> float:
 
     Only the projective space has a stationary radial law.
     """
-    from scipy import integrate, stats as spstats
+    from scipy import stats as spstats
 
     if space is not ModelSpace.PROJECTIVE:
         raise DomainError("stationary density check applies to the projective space only")
     samples = np.asarray(radial_samples, dtype=float)
     if samples.size == 0:
         raise DomainError("no radial samples given")
-    # One quadrature per unique grid cell would be slow for 1e5 samples; use
-    # a dense precomputed CDF and interpolate (grid error ~1e-9 << KS scale).
-    grid = np.linspace(0.0, math.pi / 2, 4097)
-    pdf = np.sin(2 * grid) ** 7
-    cdf = np.concatenate([[0.0], integrate.cumulative_simpson(pdf, x=grid)])
-    cdf /= cdf[-1]
-    return float(spstats.kstest(samples, lambda x: np.interp(x, grid, cdf)).statistic)
+
+    def cdf(r):
+        # The integral of sin^7(2u) over (0, r), a polynomial in c = cos 2r, over its total 16/35.
+        c = np.cos(2.0 * r)
+        return 0.5 - 35.0 / 32.0 * (c - c ** 3 + 0.6 * c ** 5 - c ** 7 / 7.0)
+    return float(spstats.kstest(samples, cdf).statistic)

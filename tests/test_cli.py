@@ -10,10 +10,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from octowind import cli, geometry, mc, specfun
@@ -306,10 +307,20 @@ def test_w0_is_rejected_outside_simulate(tmp_path, capsys, command, source):
     # ... and the largest Bessel argument of its window, about (r0 / sqrt(t))^2.
     (["table", "--space", "flat", "--r0", "1", "--t-values", "1e-12"], "1e-12"),
     (["charfn", "--space", "flat", "--r0", "1e6", "--t", "0.01", "--paths", "10"], "0.01"),
+    # Path counts whose (n, 8) normal block NumPy cannot index.
+    (["charfn", "--space", "flat", "--t", "0.01", "--paths", "1" + "0" * 26], f"n_paths <= {mc.N_PATHS_MAX}"),
+    (["charfn", "--t", "0.01", "--paths", "1" + "0" * 19, "--block-size", "1" + "0" * 19], "n_paths <="),
+    # A value that starts with a minus sign, and the refusals of the argument parser.
+    (["table", "--r0", "-1e3"], "r0 = -1000.0 outside (1e-06, inf) for flat"),
+    (["table", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["charfn", "--r0"], "argument --r0: expected one argument"),
+    (["verify", "--suite", "none"], "invalid choice: 'none'"),
+    (["table", "--config", "binary.cfg"], "binary.cfg' is not UTF-8 text"),
 ])
 def test_invalid_cli_input_exits_2(tmp_path, monkeypatch, capsys, argv, named):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.json").write_text('{"t_end": 1,')
+    (tmp_path / "binary.cfg").write_bytes(b"t_end = 1\n\xd0\xff\n")
     assert _run([*argv, "--out", "o.csv"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and named in err
@@ -331,14 +342,15 @@ _NUMBERS = st.lists(_NUMBER, min_size=1, max_size=3).map(",".join)
 _SPACE = st.sampled_from(["flat", "projective", "hyperbolic"])
 
 
-def _exit_0_or_2(argv: list[str], column: str) -> None:
-    """Exit 0 with every closed-form value in [-1, 1], or exit 2 with only config errors listed."""
+def _exit_0_or_2(argv: list[str], column: Optional[str] = None) -> None:
+    """Exit 0 with every closed-form value in ``column`` in [-1, 1], or exit 2 with only config errors listed."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code in (0, 2), (argv, err.getvalue())
     if code == 2:
         assert all(line.startswith("config error:") for line in err.getvalue().splitlines()), err.getvalue()
+    if code == 2 or column is None:
         return
     lines = out.getvalue().splitlines()
     rows = list(csv.DictReader(lines[[i for i, line in enumerate(lines) if line.startswith("# config")][0] + 1:]))
@@ -362,6 +374,98 @@ def test_charfn_generated_closed_form_inputs(space, r0, lambda_norms, t, steps, 
     # At most 4 paths and 50 steps: dt = t / steps.
     _exit_0_or_2(["charfn", f"--space={space}", f"--r0={r0}", f"--lambda-norm={lambda_norms}", f"--t={t}",
                   f"--dt={float(t) / steps!r}", f"--paths={paths}", "--workers=1"], "closed_form")
+
+
+# Values that no number key accepts: booleans, null, empty text, lists, words, a fraction written as
+# text, and integer literals past the double range (as a JSON integer and as text).
+_REFUSED = [True, False, None, "", [], ["1", "2"], "abc", "1/2", 10 ** 400, "1" + "0" * 400]
+_REFUSED_DRAW = st.sampled_from(_REFUSED)
+_SMALL = st.floats(min_value=1e-3, max_value=1.5).map(repr)
+# Per key, its values (valid ones and the boundaries) and the values it refuses. A valid draw runs at
+# most 4 paths, in one block and in process; t_end and dt are drawn together below.
+_KEY_VALUES = {
+    "n_paths": (st.sampled_from([1, 2, 4, "3", 4.0]),
+                [0, -1, 2.5, "2.0", 10 ** 19, 10 ** 27, "1" + "0" * 26, math.nan, math.inf]),
+    "space": (st.sampled_from(["flat", "projective", "hyperbolic", "Hyperbolic"]), ["moebius", 3]),
+    "r0": (st.one_of(_SMALL, _NUMBER, st.sampled_from([2.5, 10 ** 27])), []),
+    "w0": (st.lists(st.floats(-0.3, 0.3), min_size=8, max_size=8),
+           [[0.1] * 7, [0.1] * 9, "0,0,0,0,0,0,0,1e300", ",".join(["nan"] * 8)]),
+    "lambda_norms": (st.one_of(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3), _NUMBERS), [","]),
+    "block_size": (st.sampled_from([4, 25_000, "5", 5.0, 10 ** 30]), [0, -2, 2.5]),
+    "workers": (st.sampled_from([1, 2, "2", 2.0, 10 ** 30]), [0, -3, 1.5, "two"]),
+    "seed": (st.sampled_from([0, 7, "7", 2.0, 2 ** 64, 10 ** 30]), [-1, 0.5]),
+    "scheme": (st.sampled_from(["euler_maruyama", "stratonovich_heun"]), ["rk4"]),
+    "out": (st.sampled_from(["o.csv", ""]), [".", "missing/o.csv", "o\0.csv"]),
+}
+# How a key is drawn: from its values, left out, or refused (6 : 3 : 1); w0, a coordinate start, is drawn
+# one time in three, and n_paths is always set (10,000 by default).
+_KIND = st.sampled_from(["value"] * 6 + ["absent"] * 3 + ["refused"])
+_KINDS = {**dict.fromkeys(_KEY_VALUES, _KIND), "w0": st.sampled_from(["absent", "value", "absent"]),
+          "n_paths": st.sampled_from(["value"] * 9 + ["refused"])}
+_KEY_DRAWS = {key: {"value": values, "refused": st.sampled_from(refused + _REFUSED)}
+              for key, (values, refused) in _KEY_VALUES.items()}
+_T_END = st.one_of(_SMALL, _NUMBER, st.sampled_from([2.5, 10 ** 27]), _REFUSED_DRAW)
+_STEPS = st.integers(1, 50)
+
+
+def _float_or_none(value) -> Optional[float]:
+    """The number that a number key reads from ``value``, or None where it refuses it."""
+    try:
+        return None if isinstance(value, (bool, list)) or value is None else float(value)
+    except (ValueError, OverflowError):
+        return None
+
+
+@st.composite
+def _every_key(draw):
+    """A value for each config key; t_end and dt are always set, and a valid dt is t_end / steps with steps <= 50."""
+    keys = {key: draw(_KEY_DRAWS[key][kind]) for key in _KEY_VALUES if (kind := draw(_KINDS[key])) != "absent"}
+    keys["t_end"] = draw(_T_END)
+    t = _float_or_none(keys["t_end"])
+    if t is None or not math.isfinite(t):
+        keys["dt"] = draw(_NUMBER)  # t_end is refused
+    else:
+        keys["dt"] = draw(_REFUSED_DRAW) if draw(_KIND) == "refused" else repr(t / draw(_STEPS))
+    return keys
+
+
+def _flag_text(value) -> str:
+    """A value as the text of one command-line word."""
+    if isinstance(value, list):
+        return ",".join(map(_flag_text, value))
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _json_value(value):
+    """Numeric text as a JSON number, anything else as it is."""
+    if isinstance(value, str):
+        for number in (int, float):
+            try:
+                return number(value)
+            except ValueError:
+                pass
+    return value
+
+
+_FLAGS = {k.name: k.metadata["cli"][0] for k in dataclasses.fields(cli.ExperimentConfig)}
+
+
+@settings(max_examples=500, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(keys=_every_key(), t_values=_NUMBERS)
+# Path counts that NumPy cannot index, and a value that starts with a minus sign.
+@example(keys={"space": "flat", "t_end": "0.01", "dt": "1e-3", "n_paths": "1" + "0" * 26}, t_values="1e3")
+@example(keys={"t_end": "0.01", "dt": "1e-3", "n_paths": "1" + "0" * 19, "block_size": "1" + "0" * 19},
+         t_values="1e3")
+@example(keys={"r0": "-1e3", "t_end": "0.01", "dt": "1e-3", "n_paths": "1"}, t_values="1e3")
+def test_every_key_exits_0_or_2(tmp_path, monkeypatch, keys, t_values):
+    # Each subcommand runs each draw twice: as --key value flags, and as a JSON config.
+    monkeypatch.chdir(tmp_path)
+    Path("run.json").write_text(json.dumps({k: _json_value(v) for k, v in keys.items()}))
+    flags = [w for k, v in keys.items() for w in (_FLAGS[k], _flag_text(v))]
+    for command, extra in (("simulate", []), ("charfn", []), ("table", ["--t-values", t_values])):
+        _exit_0_or_2([command, *flags, *extra])
+        _exit_0_or_2([command, "--config", "run.json", *extra])
 
 
 @pytest.mark.parametrize("out", ["missing/o.csv", "."], ids=["missing_dir", "directory"])
@@ -425,6 +529,13 @@ def test_simulation_error_exits_1_without_traceback(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: block 0: radial path ") and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: octowind table")
 
 
 def test_malformed_flags_are_listed_config_errors(capsys):

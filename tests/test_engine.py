@@ -16,7 +16,6 @@ from octowind.engine import (
     PER_DECADE,
     STRATONOVICH_HEUN,
     T_INIT,
-    RadialPath,
     SimConfig,
     log_time_grid,
     make_rng,
@@ -113,12 +112,6 @@ def test_radial_start_is_checked_against_the_radial_domain_only():
 def test_batch_kernels_check_the_whole_request(call):
     with pytest.raises(DomainError):
         call()
-
-
-def test_radial_path_requires_monotone_clock():
-    t = np.array([0.0, 1.0, 2.0])
-    with pytest.raises(ValueError):
-        RadialPath(ModelSpace.FLAT, t, np.ones(3), np.array([0.0, 1.0, 0.5]))
 
 
 # ---------------------------------------------------------------------------

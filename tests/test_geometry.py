@@ -14,12 +14,16 @@ from octowind.geometry import (
     clock_rate,
     coord_norm,
     coord_radius,
-    radial_drift,
     sde_coefficients,
     stratonovich_drift_factor,
 )
 
 SPACES = (ModelSpace.FLAT, ModelSpace.PROJECTIVE, ModelSpace.HYPERBOLIC)
+
+
+def _drift(space, r):
+    """Drift b(r) of the untilted radial law, read from the space's table."""
+    return space.spec.radial(None)[0](np.asarray(r, dtype=float))[0]
 
 
 def test_parse():
@@ -31,15 +35,15 @@ def test_parse():
 
 def test_radial_drift_values():
     r = 0.8
-    assert radial_drift(ModelSpace.FLAT, r) == pytest.approx(7.0 / (2.0 * r))
-    assert radial_drift(ModelSpace.PROJECTIVE, r) == pytest.approx(7.0 / math.tan(2 * r))
-    assert radial_drift(ModelSpace.HYPERBOLIC, r) == pytest.approx(7.0 / math.tanh(2 * r))
+    assert _drift(ModelSpace.FLAT, r) == pytest.approx(7.0 / (2.0 * r))
+    assert _drift(ModelSpace.PROJECTIVE, r) == pytest.approx(7.0 / math.tan(2 * r))
+    assert _drift(ModelSpace.HYPERBOLIC, r) == pytest.approx(7.0 / math.tanh(2 * r))
 
 
 def test_hyperbolic_drift_splits_into_coth_tanh():
     # 7 coth(2r) = 3.5 (coth r + tanh r): the identity behind the zero tilt.
     r = np.linspace(0.1, 5.0, 50)
-    lhs = radial_drift(ModelSpace.HYPERBOLIC, r)
+    lhs = _drift(ModelSpace.HYPERBOLIC, r)
     rhs = 3.5 * (1.0 / np.tanh(r) + np.tanh(r))
     assert np.allclose(lhs, rhs, rtol=1e-14)
 
@@ -78,7 +82,7 @@ _MP_LAW = {
 def test_drift_and_clock_match_mpmath(space):
     # Against a 40-digit evaluation at the same binary points, to 1e-15 relative.
     r = _MP_POINTS[space]
-    drift, clock = radial_drift(space, r), clock_rate(space, r)
+    drift, clock = _drift(space, r), clock_rate(space, r)
     with mpmath.workdps(40):
         for values, exact in zip((drift, clock), _MP_LAW[space]):
             want = np.array([float(exact(mpmath.mpf(float(x)))) for x in r])
@@ -89,12 +93,12 @@ def test_drift_and_clock_match_mpmath(space):
 def test_domain_checks(space):
     lo, hi = 0.0, space.spec.r_hi
     with pytest.raises(DomainError):
-        radial_drift(space, lo)
+        clock_rate(space, lo)
     with pytest.raises(DomainError):
         clock_rate(space, -0.1)
     if math.isfinite(hi):
         with pytest.raises(DomainError):
-            radial_drift(space, hi)
+            clock_rate(space, hi)
 
 
 @pytest.mark.parametrize("space", SPACES)
@@ -171,11 +175,11 @@ def test_radial_drift_consistent_with_coordinate_sde(space):
         drift_u = f * u + 7.0 * sig**2 / (2.0 * u)
         drift_r = g1 * drift_u + 0.5 * g2 * sig**2
         assert g1 * sig == pytest.approx(1.0, abs=1e-7)
-        assert drift_r == pytest.approx(radial_drift(space, r), rel=1e-4)
+        assert drift_r == pytest.approx(_drift(space, r), rel=1e-4)
 
 
 def test_array_shapes():
     r = np.array([[0.2, 0.4], [0.6, 0.8]])
     for space in SPACES:
-        assert radial_drift(space, r).shape == (2, 2)
+        assert _drift(space, r).shape == (2, 2)
         assert clock_rate(space, r).shape == (2, 2)

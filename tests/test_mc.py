@@ -71,10 +71,15 @@ def test_pool_has_at_most_one_worker_per_block(monkeypatch):
     ({"block_size": 0}, "block_size"),
     ({"workers": 0}, "workers"),
     ({"seed": -1}, "seed"),
+    # Past N_PATHS_MAX the (n, 8) normal block of one step cannot be indexed.
+    ({"n_paths": 10 ** 27}, "n_paths"),
+    ({"n_paths": 10 ** 19, "block_size": 10 ** 19}, "n_paths"),
+    ({"n_paths": mc.N_PATHS_MAX + 1, "block_size": 10 ** 19}, "n_paths"),
 ])
 def test_block_run_settings_are_checked(settings, named):
     args = {"n_paths": 10, "block_size": 5, "workers": 1, "seed": 1, **settings}
-    with pytest.raises(DomainError, match=f"{named} = -?[0-9]+ violates {named} >= "):
+    bound = f"<= {mc.N_PATHS_MAX}$" if args["n_paths"] > mc.N_PATHS_MAX else ">= "
+    with pytest.raises(DomainError, match=f"{named} = -?[0-9]+ violates {named} {bound}"):
         mc.run_radial_mc(ModelSpace.FLAT, 1.0, 0.01, 1e-3, **args)
 
 

@@ -24,6 +24,11 @@ def test_structure_tensor_triples():
         assert STRUCTURE[j, 0, j] == 1.0
     for i in range(1, 8):
         assert STRUCTURE[i, i, 0] == -1.0
+    # Distinct imaginary units anticommute.
+    for i in range(1, 8):
+        for j in range(1, 8):
+            if i != j:
+                assert np.array_equal(STRUCTURE[i, j], -STRUCTURE[j, i])
 
 
 def test_structure_tensor_is_readonly():
