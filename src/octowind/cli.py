@@ -19,7 +19,6 @@ import csv
 import dataclasses
 import functools
 import hashlib
-import io
 import json
 import math
 import os
@@ -187,17 +186,16 @@ def _out_problems(path: Optional[str]) -> list[str]:
 
 
 def _write_csv(path: Optional[str], header: list[str], rows, config_hash: str) -> None:
-    """Write the artifact to ``path``, or to stdout when there is none."""
-    buf = io.StringIO()
-    buf.write(f"# config {config_hash}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    if path:
-        Path(path).write_text(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    """Write the artifact to ``path``, or to stdout when there is none, one row at a time."""
+    fh = open(path, "w") if path else sys.stdout
+    try:
+        fh.write(f"# config {config_hash}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+    finally:
+        if path:
+            fh.close()
 
 
 def _fmt(v):
@@ -210,21 +208,23 @@ def _fmt(v):
 # Subcommands
 
 def _cmd_simulate(cfg: ExperimentConfig) -> int:
-    sim = SimConfig(space=cfg.space, t_end=cfg.t_end, dt=cfg.dt, r0=cfg.r0 if cfg.w0 is None else None,
-                    w0=cfg.w0, scheme=cfg.scheme, seed=cfg.seed)
+    sim = SimConfig(space=cfg.space, t_end=cfg.t_end, dt=cfg.dt, r0=cfg.r0, w0=cfg.w0, scheme=cfg.scheme,
+                    seed=cfg.seed)
     if cfg.w0 is not None:
         path = engine.simulate_coordinate(sim)
+        end = path[-1]
         header = ["time"] + [f"c{i}" for i in range(8)] + [f"zeta{i}" for i in range(1, 8)]
         rows = (  # no coordinates once the path has switched to the skew product
-            [t] + (list(map(float, w)) if np.isfinite(w[0]) else [""] * 8) + list(map(float, z))
-            for t, w, z in zip(path.times, path.w, path.zeta)
+            [t, *(w.tolist() if np.isfinite(w[0]) else [""] * 8), *z.tolist()]
+            for t, w, z in zip(path["time"], path["w"], path["zeta"])
         )
-        print(f"coordinate path: t_end={path.times[-1]:.6g} |zeta|={float(np.linalg.norm(path.zeta[-1])):.6g}")
+        print(f"coordinate path: t_end={end['time']:.6g} |zeta|={float(np.linalg.norm(end['zeta'])):.6g}")
     else:
         path = engine.simulate_radial(sim)
-        header = ["time", "r", "clock"]
-        rows = ([t, float(r), float(a)] for t, r, a in zip(path.times, path.r, path.clock))
-        print(f"radial path: t_end={path.times[-1]:.6g} r_end={path.r[-1]:.6g} clock={path.clock[-1]:.6g}")
+        end = path[-1]
+        header = list(path.dtype.names)
+        rows = zip(*(path[name] for name in header))
+        print(f"radial path: t_end={end['time']:.6g} r_end={end['r']:.6g} clock={end['clock']:.6g}")
     _write_csv(cfg.out, header, rows, cfg.config_hash())
     return 0
 

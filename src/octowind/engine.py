@@ -59,6 +59,12 @@ def sim_problems(space: ModelSpace, t_end: float, dt: float, scheme: str = STRAT
         problems.append(f"t_end = {t_end} violates dt <= t_end <= {T_END_MAX:.4g}, past which the clock overflows")
     elif not t_end / dt <= sys.maxsize:  # the step count must fit an index
         problems.append(f"t_end / dt = {t_end / dt:g} violates t_end / dt <= {sys.maxsize}")
+    elif not dt >= 1e-9:
+        # Near either end of the radial domain the untilted drift is about 3.5 / (distance to it), so the
+        # implicit root of a draw z standard deviations out is about 3.5 sqrt(dt) / z from that end.
+        # At dt >= 1e-9 only a draw beyond ~100 sigma puts it within R_MIN, which the guard refuses.
+        problems.append(f"dt = {dt} violates dt >= 1e-09, below which the implicit radial step can land "
+                        f"within R_MIN = {R_MIN:g} of the domain's end")
     if scheme not in SCHEMES:
         problems.append(f"scheme = {scheme!r}; expected one of {SCHEMES}")
     if r0 is None and w0 is None:
@@ -73,7 +79,7 @@ def _require(problems: list[str]) -> None:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One path-simulation request."""
+    """One path-simulation request; the kernel that runs it checks it with :func:`sim_problems`."""
 
     space: ModelSpace
     t_end: float
@@ -82,29 +88,6 @@ class SimConfig:
     w0: Optional[np.ndarray] = None
     scheme: str = STRATONOVICH_HEUN
     seed: int = DEFAULT_SEED
-
-    def __post_init__(self):
-        if self.w0 is not None:
-            object.__setattr__(self, "w0", np.asarray(self.w0, dtype=float))
-        _require(sim_problems(self.space, self.t_end, self.dt, self.scheme, self.r0, self.w0))
-
-
-@dataclass(frozen=True)
-class RadialPath:
-    """Discretized radial trajectory with its accumulated clock."""
-
-    times: np.ndarray
-    r: np.ndarray
-    clock: np.ndarray
-
-
-@dataclass(frozen=True)
-class CoordinatePath:
-    """Discretized coordinate trajectory with the running winding integral."""
-
-    times: np.ndarray
-    w: np.ndarray      # (n_steps + 1, 8); NaN from the switch to the skew product on
-    zeta: np.ndarray   # (n_steps + 1, 7)
 
 
 def _radial_step(law, implicit_root, r, drift, rate, clock, noise, dt, hi_guard, t_now):
@@ -160,19 +143,17 @@ def _radial_states(space: ModelSpace, r0: float, t_end: float, dt: float, n_path
             return
 
 
-def simulate_radial(cfg: SimConfig, tilt=None) -> RadialPath:
-    """One radial trajectory: the batch kernel with one path, every step kept.
+def simulate_radial(cfg: SimConfig, tilt=None) -> np.ndarray:
+    """One radial trajectory: the batch kernel with one path, every step kept
+    as a row of a structured array with fields ``time``, ``r`` and ``clock``.
 
     ``tilt`` is the drift parameter mu (flat) or the pair (a_hat, b_hat)
     (hyperbolic) of the exponentially tilted measure; zero reproduces the
     untilted path.
     """
-    if cfg.r0 is None:
-        raise DomainError("radial simulation needs r0")
-    rng = make_rng(cfg.seed)
-    states = [(t, r[0], a[0]) for t, r, a in _radial_states(cfg.space, cfg.r0, cfg.t_end, cfg.dt, 1, rng, tilt)]
-    times, r, clock = (np.array(col) for col in zip(*states))
-    return RadialPath(times, r, clock)
+    states = _radial_states(cfg.space, cfg.r0, cfg.t_end, cfg.dt, 1, make_rng(cfg.seed), tilt)
+    return np.fromiter(((t, r[0], a[0]) for t, r, a in states),
+                       dtype=[("time", float), ("r", float), ("clock", float)])
 
 
 def simulate_radial_batch(
@@ -244,26 +225,25 @@ def _coordinate_step(spec, w: np.ndarray, norm_sq: np.ndarray, dw_noise: np.ndar
     return w + (0.5 * h) * (fw + f2 * pred) + (0.5 * (sig + sig2)) * dw_noise
 
 
-def simulate_coordinate(cfg: SimConfig, rng: Optional[np.random.Generator] = None) -> CoordinatePath:
+def simulate_coordinate(cfg: SimConfig, rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """One coordinate trajectory with its running line-integral winding: the
-    batch kernel with one path, every step kept.
+    batch kernel with one path, every step kept as a row of a structured
+    array with fields ``time``, ``w`` (8 values) and ``zeta`` (7 values).
 
     A path that meets the switch rule continues on the skew-product route as
-    in the batch: from the step where it switched, its rows of ``w`` are NaN
-    and ``zeta`` holds the winding at the switch, and the last row adds the
+    in the batch: from the step where it switched, its ``w`` is NaN and
+    ``zeta`` holds the winding at the switch, and the last row adds the
     N(0, A I_7) draw for the clock A accrued since, so the final winding is
     that of :func:`simulate_coordinate_batch` with one path.
     """
-    if cfg.w0 is None:
-        raise DomainError("coordinate simulation needs w0")
     rng = make_rng(cfg.seed) if rng is None else rng
-    zeta, states = np.zeros((1, 7)), []
-    off_chart = np.full(8, np.nan)
-    for t, idx, w, z in _coordinate_states(cfg.space, cfg.w0, cfg.t_end, cfg.dt, 1, rng, cfg.scheme, zeta):
-        states.append((t, w[:, 0], z[:, 0].copy()) if idx.size else (t, off_chart, zeta[0].copy()))
-    times, w_hist, z_hist = (np.array(col) for col in zip(*states))
-    z_hist[-1] = zeta[0]
-    return CoordinatePath(times, w_hist, z_hist)
+    zeta, off_chart = np.zeros((1, 7)), np.full(8, np.nan)
+    states = _coordinate_states(cfg.space, np.asarray(cfg.w0, dtype=float), cfg.t_end, cfg.dt, 1, rng,
+                                cfg.scheme, zeta)
+    rows = ((t, w[:, 0], z[:, 0]) if idx.size else (t, off_chart, zeta[0]) for t, idx, w, z in states)
+    path = np.fromiter(rows, dtype=[("time", float), ("w", float, 8), ("zeta", float, 7)])
+    path["zeta"][-1] = zeta[0]
+    return path
 
 
 def _coordinate_states(space: ModelSpace, w0: np.ndarray, t_end: float, dt: float, n_paths: int,

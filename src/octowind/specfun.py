@@ -143,9 +143,10 @@ def oh1_moment_cascade_scaled(a_hat: float, b_hat: float, r0: float, t: float):
 
     m2k(t) = E^(a_hat, b_hat)[cosh^{2k}(r(t))]; evaluated from the exact
     solution of the moment ODE cascade, stable for arbitrarily large t.
+    Multiply back by e^{4t}, e^{12t}, e^{24t} for the moments themselves.
     """
     if r0 <= 0 or t < 0:
-        raise DomainError("oh1_moment_cascade requires r0 > 0 and t >= 0")
+        raise DomainError("oh1_moment_cascade_scaled requires r0 > 0 and t >= 0")
     ch2 = math.cosh(r0) ** 2
     # cosh^2 obeys m2' = 4 m2 - (2 b_hat + 8).
     k2 = (2.0 * b_hat + 8.0) / 4.0
@@ -167,13 +168,3 @@ def oh1_moment_cascade_scaled(a_hat: float, b_hat: float, r0: float, t: float):
                 + low4 * (1.0 - e24) / 24.0)
     s6 = ch2 ** 3 - a6 * integral
     return s2, s4, s6
-
-
-def oh1_moment_cascade(a_hat: float, b_hat: float, r0: float, t: float):
-    """Tilted moments (m2, m4, m6) of cosh^{2k}(r(t)).
-
-    Unscaled values overflow once 24 t exceeds ~700; use
-    :func:`oh1_moment_cascade_scaled` for long horizons.
-    """
-    s2, s4, s6 = oh1_moment_cascade_scaled(a_hat, b_hat, r0, t)
-    return s2 * math.exp(4.0 * t), s4 * math.exp(12.0 * t), s6 * math.exp(24.0 * t)

@@ -194,7 +194,7 @@ def test_criterion_6_hyperbolic_limit():
     tilted = mc.run_radial_mc(ModelSpace.HYPERBOLIC, r0, 1.0, 1e-3, 100_000,
                               seed=506, tilt=(a_hat, b_hat))
     m2 = np.cosh(tilted.r_end) ** 2
-    closed_m2 = specfun.oh1_moment_cascade(a_hat, b_hat, r0, 1.0)[0]
+    closed_m2 = specfun.oh1_moment_cascade_scaled(a_hat, b_hat, r0, 1.0)[0] * math.exp(4.0)  # m2 = e^{4t} s2
     se = m2.std(ddof=1) / math.sqrt(m2.size)
     ok = abs(m2.mean() - closed_m2) <= 3.0 * se
     passed = passed and ok

@@ -370,6 +370,10 @@ def test_table_generated_closed_form_inputs(space, r0, lambda_norms, t_values):
 @settings(max_examples=500, derandomize=True, deadline=None)
 @given(space=_SPACE, r0=_NUMBER, lambda_norms=_NUMBERS, t=_NUMBER, steps=st.integers(1, 50),
        paths=st.integers(1, 4))
+# A start just above R_MIN with a step below the dt floor, where the implicit root could land within R_MIN.
+@example(space="flat", r0="1.000000001e-06", lambda_norms="0", t="1e-13", steps=5, paths=3)
+@example(space="projective", r0="1.000000001e-06", lambda_norms="0", t="1e-13", steps=5, paths=3)
+@example(space="hyperbolic", r0="1.000000001e-06", lambda_norms="0", t="1e-13", steps=5, paths=3)
 def test_charfn_generated_closed_form_inputs(space, r0, lambda_norms, t, steps, paths):
     # At most 4 paths and 50 steps: dt = t / steps.
     _exit_0_or_2(["charfn", f"--space={space}", f"--r0={r0}", f"--lambda-norm={lambda_norms}", f"--t={t}",
@@ -630,17 +634,21 @@ def test_verify_all_passes(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # Cold start: SciPy is imported only by the functions that call it
 
-def _modules_after(tmp_path, argvs) -> set:
-    """sys.modules of a fresh interpreter that imported octowind.cli from this
-    checkout and ran ``cli.main`` on each argv."""
+def _after(tmp_path, argvs, report: str):
+    """The value of the expression ``report`` in a fresh interpreter that imported
+    octowind.cli from this checkout and ran ``cli.main`` on each argv."""
     script = ("import json, sys\nfrom octowind import cli\n"
               f"for argv in {argvs!r}:\n    assert cli.main(argv) == 0, argv\n"
-              "print(json.dumps(sorted(sys.modules)))")
+              f"print(json.dumps({report}))")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _modules_after(tmp_path, argvs) -> set:
+    return set(_after(tmp_path, argvs, "sorted(sys.modules)"))
 
 
 def test_cold_start_without_scipy(tmp_path):
@@ -663,3 +671,20 @@ def test_flat_closed_forms_load_scipy_without_stats(tmp_path):
     ])
     assert {"scipy.special", "scipy.integrate"} <= modules
     assert "scipy.stats" not in modules
+
+
+# ---------------------------------------------------------------------------
+# Memory: simulate holds its path once
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the peak RSS from /proc")
+def test_simulate_memory_does_not_grow_with_the_path(tmp_path):
+    # simulate keeps one array per path (24 B per radial step) and writes the CSV row by row, so
+    # from 10,000 to 100,000 steps its peak RSS grows by less than 64 B per extra step. Each child
+    # reports the high-water mark of its own address space: Linux carries ru_maxrss across exec,
+    # so there it can report the peak of the pytest process that started the child.
+    def peak_rss(t):
+        argv = ["simulate", "--space", "flat", "--t", t, "--dt", "1e-3", "--r0", "1", "--out", "path.csv"]
+        return _after(tmp_path, [argv], "[int(line.split()[1]) * 1024 for line in open('/proc/self/status') "
+                                        "if line.startswith('VmHWM:')][0]")
+
+    assert peak_rss("100") - peak_rss("10") < 64 * 90_000

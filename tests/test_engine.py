@@ -67,39 +67,52 @@ def test_radial_clock_stays_finite_up_to_the_largest_horizon(space, r0):
 
 
 def test_simconfig_validation():
+    # A SimConfig only holds the request: the single-path simulators refuse it, because their
+    # batch kernels run sim_problems before the first step.
+    def radial(space=ModelSpace.FLAT, t_end=1.0, dt=1e-3, **kw):
+        return simulate_radial(SimConfig(space=space, t_end=t_end, dt=dt, **kw))
+
+    def coordinate(space=ModelSpace.FLAT, t_end=1.0, dt=1e-3, **kw):
+        return simulate_coordinate(SimConfig(space=space, t_end=t_end, dt=dt, **kw))
+
     with pytest.raises(DomainError):
-        SimConfig(space=ModelSpace.FLAT, t_end=1.0, dt=-1e-3, r0=1.0)
+        radial(dt=-1e-3, r0=1.0)
     with pytest.raises(DomainError):
-        SimConfig(space=ModelSpace.FLAT, t_end=1e-4, dt=1e-3, r0=1.0)
+        radial(t_end=1e-4, r0=1.0)
     with pytest.raises(DomainError):
-        SimConfig(space=ModelSpace.FLAT, t_end=math.inf, dt=1e-3, r0=1.0)
+        radial(t_end=math.inf, r0=1.0)
     for dt in (1e-300, 5e-324):  # a step count past sys.maxsize, or an infinite one
         with pytest.raises(DomainError, match="t_end / dt"):
-            SimConfig(space=ModelSpace.FLAT, t_end=1.0, dt=dt, r0=1.0)
+            radial(dt=dt, r0=1.0)
+    with pytest.raises(DomainError, match="t_end / dt"):  # the same above the dt floor
+        radial(t_end=1e10, dt=1e-9, r0=1.0)
+    with pytest.raises(DomainError, match="dt >= 1e-09"):
+        radial(t_end=1e-13, dt=2e-14, r0=1.000000001e-06)
     with pytest.raises(DomainError, match="clock overflows"):
-        SimConfig(space=ModelSpace.FLAT, t_end=1e300, dt=1e299, r0=1.0)
+        radial(t_end=1e300, dt=1e299, r0=1.0)
     with pytest.raises(DomainError):
-        SimConfig(space=ModelSpace.FLAT, t_end=1.0, dt=1e-3, r0=1.0, scheme="milstein")
+        coordinate(w0=np.eye(8)[0], scheme="milstein")
     with pytest.raises(DomainError):
-        SimConfig(space=ModelSpace.FLAT, t_end=1.0, dt=1e-3)
+        radial()
     with pytest.raises(DomainError):
-        SimConfig(space=ModelSpace.PROJECTIVE, t_end=1.0, dt=1e-3, r0=math.pi / 2 - R_MIN)
+        coordinate()
     with pytest.raises(DomainError):
-        SimConfig(space=ModelSpace.FLAT, t_end=1.0, dt=1e-3, r0=R_MIN)
+        radial(space=ModelSpace.PROJECTIVE, r0=math.pi / 2 - R_MIN)
     with pytest.raises(DomainError):
-        SimConfig(space=ModelSpace.FLAT, t_end=1.0, dt=1e-3, w0=np.full(8, 6.0))  # radius 17 > 15
+        radial(r0=R_MIN)
     with pytest.raises(DomainError):
-        SimConfig(space=ModelSpace.FLAT, t_end=1.0, dt=1e-3, w0=np.ones(3))
+        coordinate(w0=np.full(8, 6.0))  # radius 17 > 15
     with pytest.raises(DomainError):
-        SimConfig(space=ModelSpace.HYPERBOLIC, t_end=1.0, dt=1e-3,
-                  w0=np.array([1.0, 0, 0, 0, 0, 0, 0, 0.5]))
+        coordinate(w0=np.ones(3))
+    with pytest.raises(DomainError):
+        coordinate(space=ModelSpace.HYPERBOLIC, w0=np.array([1.0, 0, 0, 0, 0, 0, 0, 0.5]))
 
 
 def test_radial_start_is_checked_against_the_radial_domain_only():
     # r0 = 1.5 lies beyond the projective chart ceiling 1.45 but inside the
     # radial domain (0, pi/2): a radial run may start there.
     cfg = SimConfig(space=ModelSpace.PROJECTIVE, t_end=0.01, dt=1e-3, r0=1.5)
-    assert np.all(simulate_radial(cfg).r < math.pi / 2)
+    assert np.all(simulate_radial(cfg)["r"] < math.pi / 2)
     with pytest.raises(DomainError):
         simulate_radial_batch(ModelSpace.PROJECTIVE, math.pi / 2, 0.01, 1e-3, 5, make_rng(1))
 
@@ -121,17 +134,16 @@ def test_simulate_radial_deterministic_and_monotone_clock():
     cfg = SimConfig(space=ModelSpace.FLAT, t_end=1.0, dt=1e-3, r0=1.0, seed=11)
     p1 = simulate_radial(cfg)
     p2 = simulate_radial(cfg)
-    assert np.array_equal(p1.r, p2.r)
-    assert np.array_equal(p1.clock, p2.clock)
-    assert np.all(np.diff(p1.clock) >= 0)
-    assert p1.times[0] == 0.0 and p1.times[-1] == pytest.approx(1.0)
+    assert np.array_equal(p1, p2)
+    assert np.all(np.diff(p1["clock"]) >= 0)
+    assert p1["time"][0] == 0.0 and p1["time"][-1] == pytest.approx(1.0)
 
 
 def test_fractional_final_step():
     cfg = SimConfig(space=ModelSpace.FLAT, t_end=0.0105, dt=1e-3, r0=1.0)
     p = simulate_radial(cfg)
-    assert p.times[-1] == pytest.approx(0.0105)
-    assert len(p.times) == 12  # 10 full steps, one half step, plus t = 0
+    assert p["time"][-1] == pytest.approx(0.0105)
+    assert len(p) == 12  # 10 full steps, one half step, plus t = 0
 
 
 @pytest.mark.parametrize("space", [ModelSpace.FLAT, ModelSpace.HYPERBOLIC])
@@ -140,7 +152,7 @@ def test_zero_tilt_reproduces_untilted_path(space):
     tilt = 0.0 if space is ModelSpace.FLAT else (0.0, 0.0)
     p = simulate_radial(cfg)
     q = simulate_radial(cfg, tilt=tilt)
-    assert np.array_equal(p.r, q.r) and np.array_equal(p.clock, q.clock)
+    assert np.array_equal(p, q)
 
 
 def test_flat_tilt_bound():
@@ -209,8 +221,9 @@ def test_single_radial_path_is_a_batch_of_one(space, tilt):
     cfg = SimConfig(space=space, t_end=0.5, dt=2e-2, r0=0.05, seed=13)
     path = simulate_radial(cfg, tilt=tilt)
     r, clock, t = simulate_radial_batch(space, cfg.r0, cfg.t_end, cfg.dt, 1, make_rng(13), tilt=tilt)
-    assert path.r[0] == cfg.r0 and path.clock[0] == 0.0
-    assert (path.r[-1], path.clock[-1], path.times[-1]) == (r[0], clock[0], t)
+    assert path.dtype.names == ("time", "r", "clock")
+    assert path[0].tolist() == (0.0, cfg.r0, 0.0)
+    assert path[-1].tolist() == (t, r[0], clock[0])
 
 
 def test_radial_batch_early_stop():
@@ -362,8 +375,8 @@ def _w0(space, r0):
 def test_coordinate_zero_noise_flat():
     cfg = SimConfig(space=ModelSpace.FLAT, t_end=1.0, dt=1e-2, w0=_w0(ModelSpace.FLAT, 1.0))
     path = simulate_coordinate(cfg, rng=ZeroNoise())
-    assert np.allclose(path.w[-1], path.w[0])
-    assert np.allclose(path.zeta[-1], 0.0)
+    assert np.allclose(path["w"][-1], path["w"][0])
+    assert np.allclose(path["zeta"][-1], 0.0)
 
 
 @pytest.mark.parametrize(
@@ -378,7 +391,7 @@ def test_coordinate_zero_noise_projective_ode(scheme, rate):
     cfg = SimConfig(space=ModelSpace.PROJECTIVE, t_end=t_end, dt=1e-4,
                     w0=_w0(ModelSpace.PROJECTIVE, r0), scheme=scheme)
     path = simulate_coordinate(cfg, rng=ZeroNoise())
-    r_end = math.atan(float(np.linalg.norm(path.w[-1])))
+    r_end = math.atan(float(np.linalg.norm(path["w"][-1])))
     assert math.sin(r_end) == pytest.approx(math.sin(r0) * math.exp(-rate * t_end), rel=2e-3)
 
 
@@ -392,7 +405,7 @@ def test_coordinate_zero_noise_hyperbolic_ode(scheme, rate):
     cfg = SimConfig(space=ModelSpace.HYPERBOLIC, t_end=t_end, dt=1e-4,
                     w0=_w0(ModelSpace.HYPERBOLIC, r0), scheme=scheme)
     path = simulate_coordinate(cfg, rng=ZeroNoise())
-    r_end = math.atanh(float(np.linalg.norm(path.w[-1])))
+    r_end = math.atanh(float(np.linalg.norm(path["w"][-1])))
     assert math.sinh(r_end) == pytest.approx(math.sinh(r0) * math.exp(rate * t_end), rel=2e-3)
 
 
@@ -405,7 +418,7 @@ def test_coordinate_zero_noise_first_order_convergence():
         cfg = SimConfig(space=ModelSpace.PROJECTIVE, t_end=t_end, dt=dt,
                         w0=_w0(ModelSpace.PROJECTIVE, r0), scheme=EULER_MARUYAMA)
         path = simulate_coordinate(cfg, rng=ZeroNoise())
-        r_end = math.atan(float(np.linalg.norm(path.w[-1])))
+        r_end = math.atan(float(np.linalg.norm(path["w"][-1])))
         return abs(math.sin(r_end) - exact)
 
     ratio = err(2e-3) / err(1e-3)
@@ -421,14 +434,16 @@ def test_coordinate_path_continues_past_the_switch():
     path = simulate_coordinate(cfg)
     z, k = simulate_coordinate_batch(cfg.space, w0, cfg.t_end, cfg.dt, 1, make_rng(cfg.seed))
     assert k == 1
-    assert len(path.times) == 5001 and path.times[-1] == pytest.approx(5.0)
-    on_chart = np.isfinite(path.w).all(axis=1)
+    assert path.dtype.names == ("time", "w", "zeta")
+    assert len(path) == 5001 and path["time"][-1] == pytest.approx(5.0)
+    w, zeta = path["w"], path["zeta"]
+    on_chart = np.isfinite(w).all(axis=1)
     switch = int(np.argmin(on_chart))
-    assert 2.0 < path.times[switch] < 2.5
-    assert on_chart[:switch].all() and np.isnan(path.w[switch:]).all()
-    assert (path.zeta[switch:-1] == path.zeta[switch - 1]).all()
-    assert np.array_equal(path.zeta[-1], z[0])
-    assert not np.array_equal(path.zeta[-1], path.zeta[-2])
+    assert 2.0 < path["time"][switch] < 2.5
+    assert on_chart[:switch].all() and np.isnan(w[switch:]).all()
+    assert (zeta[switch:-1] == zeta[switch - 1]).all()
+    assert np.array_equal(zeta[-1], z[0])
+    assert not np.array_equal(zeta[-1], zeta[-2])
 
 
 def test_coordinate_deterministic():
@@ -436,8 +451,8 @@ def test_coordinate_deterministic():
                     w0=_w0(ModelSpace.PROJECTIVE, 0.6), seed=77)
     p1 = simulate_coordinate(cfg)
     p2 = simulate_coordinate(cfg)
-    assert np.array_equal(p1.w, p2.w)
-    assert np.array_equal(p1.zeta[-1], p2.zeta[-1])
+    assert np.array_equal(p1["w"], p2["w"])
+    assert np.array_equal(p1["zeta"], p2["zeta"])
 
 
 def test_coordinate_batch_deterministic_and_flat_law():
@@ -574,7 +589,7 @@ def test_single_coordinate_path_is_a_batch_of_one():
     path = simulate_coordinate(cfg)
     z, k = simulate_coordinate_batch(cfg.space, cfg.w0, cfg.t_end, cfg.dt, 1, make_rng(cfg.seed))
     assert k == 0
-    assert np.array_equal(path.zeta[-1], z[0])
+    assert np.array_equal(path["zeta"][-1], z[0])
 
 
 # ---------------------------------------------------------------------------

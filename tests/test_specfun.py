@@ -261,21 +261,23 @@ def test_cascade_ode_coefficients_from_generator(k, lead):
 
 
 def test_cascade_satisfies_its_odes():
-    # Finite-difference time derivative of the closed-form moments.
+    # Finite-difference time derivative of the closed-form moments, rescaled:
+    # with s2 = e^{-4t} m2, s4 = e^{-12t} m4 and s6 = e^{-24t} m6 the cascade reads
+    # s2' = -(2b+8) e^{-4t}, s4' = -(4b+20) e^{-8t} s2 and s6' = -(6b+36) e^{-12t} s4.
     a_hat, b_hat = specfun.hyperbolic_tilt(1.0)
     r0, t, h = 1.0, 0.6, 1e-6
-    m2p, m4p, m6p = specfun.oh1_moment_cascade(a_hat, b_hat, r0, t + h)
-    m2m, m4m, m6m = specfun.oh1_moment_cascade(a_hat, b_hat, r0, t - h)
-    m2, m4, m6 = specfun.oh1_moment_cascade(a_hat, b_hat, r0, t)
-    assert (m2p - m2m) / (2 * h) == pytest.approx(4 * m2 - (2 * b_hat + 8), rel=1e-7)
-    assert (m4p - m4m) / (2 * h) == pytest.approx(12 * m4 - (4 * b_hat + 20) * m2, rel=1e-7)
-    assert (m6p - m6m) / (2 * h) == pytest.approx(24 * m6 - (6 * b_hat + 36) * m4, rel=1e-7)
+    s2p, s4p, s6p = specfun.oh1_moment_cascade_scaled(a_hat, b_hat, r0, t + h)
+    s2m, s4m, s6m = specfun.oh1_moment_cascade_scaled(a_hat, b_hat, r0, t - h)
+    s2, s4, s6 = specfun.oh1_moment_cascade_scaled(a_hat, b_hat, r0, t)
+    assert (s2p - s2m) / (2 * h) == pytest.approx(-(2 * b_hat + 8) * math.exp(-4 * t), rel=1e-7)
+    assert (s4p - s4m) / (2 * h) == pytest.approx(-(4 * b_hat + 20) * math.exp(-8 * t) * s2, rel=1e-7)
+    assert (s6p - s6m) / (2 * h) == pytest.approx(-(6 * b_hat + 36) * math.exp(-12 * t) * s4, rel=1e-7)
 
 
 def test_cascade_initial_values():
     a_hat, b_hat = specfun.hyperbolic_tilt(0.8)
     r0 = 1.3
-    m2, m4, m6 = specfun.oh1_moment_cascade(a_hat, b_hat, r0, 0.0)
+    m2, m4, m6 = specfun.oh1_moment_cascade_scaled(a_hat, b_hat, r0, 0.0)  # e^0 = 1: the moments themselves
     assert m2 == pytest.approx(math.cosh(r0) ** 2, rel=1e-12)
     assert m4 == pytest.approx(math.cosh(r0) ** 4, rel=1e-12)
     assert m6 == pytest.approx(math.cosh(r0) ** 6, rel=1e-12)
@@ -298,6 +300,6 @@ def test_cascade_scaled_is_finite_for_long_horizons():
     s2, s4, s6 = specfun.oh1_moment_cascade_scaled(a_hat, b_hat, 1.0, 500.0)
     assert all(math.isfinite(v) for v in (s2, s4, s6))
     with pytest.raises(DomainError):
-        specfun.oh1_moment_cascade(a_hat, b_hat, -1.0, 1.0)
+        specfun.oh1_moment_cascade_scaled(a_hat, b_hat, -1.0, 1.0)
     with pytest.raises(DomainError):
-        specfun.oh1_moment_cascade(a_hat, b_hat, 1.0, -1.0)
+        specfun.oh1_moment_cascade_scaled(a_hat, b_hat, 1.0, -1.0)
