@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -175,10 +176,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def _out_problems(path: Optional[str]) -> list[str]:
     """Why an artifact cannot be written to ``path``; checked before the run."""
-    try:
-        if path and Path(path).is_dir():
+    try:  # not Path.is_dir, which from Python 3.14 on answers False for every OSError
+        if path and stat.S_ISDIR(os.stat(path).st_mode):
             return [f"out = {path!r} is a directory"]
-    except OSError as exc:  # a name too long for the file system
+    except FileNotFoundError:
+        pass
+    except OSError as exc:  # a name too long for the file system, or a parent that is a file
         return [f"out = {path!r}: {exc.strerror}"]
     if path and not os.access(Path(path).parent, os.W_OK):
         return [f"out = {path!r}: its directory is missing or not writable"]
@@ -229,24 +232,19 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
     return 0
 
 
-#: Per space, the closed form that charfn compares with, at (|lambda|, r0, t),
-#: and the long-time limit of the characteristic function, at (|lambda|, r0).
-#: The projective reference is asymptotic: A_t ~ (14/3) t under the stationary law.
-_CLOSED_FORMS = {
-    ModelSpace.FLAT: (lambda ln, r0, t: specfun.flat_laplace(r0, t, ln),
-                      lambda ln, r0: specfun.flat_limit_charfn(ln)),
-    ModelSpace.PROJECTIVE: (lambda ln, r0, t: math.exp(-7.0 / 3.0 * ln ** 2 * t),
-                            lambda ln, r0: specfun.op1_limit_charfn(ln)),
-    ModelSpace.HYPERBOLIC: (lambda ln, r0, t: specfun.oh1_limit_charfn(ln, r0), specfun.oh1_limit_charfn),
-}
-
-
-def _closed_form_values(entries) -> list[float]:
-    """form(*args) for each (|lambda|, t, form, args); each DomainError is one listed config error."""
+def _closed_forms(cfg: ExperimentConfig, entries) -> list[float]:
+    """The closed form on cfg.space from cfg.r0 per (|lambda| as asked, t, |lambda| as evaluated), t = inf
+    asking for the long-time limit; each DomainError is one listed config error.  The hyperbolic value is
+    the limit at every t; the projective one is asymptotic, as A_t ~ (14/3) t under the stationary law."""
     values, problems = [], []
-    for ln, t, form, args in entries:
+    for ln, t, lam in entries:
         try:
-            values.append(form(*args))
+            if cfg.space is ModelSpace.HYPERBOLIC:
+                values.append(specfun.oh1_limit_charfn(lam, cfg.r0))
+            elif cfg.space is ModelSpace.PROJECTIVE:
+                values.append(specfun.op1_limit_charfn(lam) if t == math.inf else math.exp(-7.0 / 3.0 * lam ** 2 * t))
+            else:
+                values.append(specfun.flat_limit_charfn(lam) if t == math.inf else specfun.flat_laplace(cfg.r0, t, lam))
         except DomainError as exc:
             problems.append(f"lambda_norms entry {ln!r} at t = {t}: {exc}")
     if problems:
@@ -255,8 +253,7 @@ def _closed_form_values(entries) -> list[float]:
 
 
 def _cmd_charfn(cfg: ExperimentConfig) -> int:
-    closed = _closed_form_values([(ln, cfg.t_end, _CLOSED_FORMS[cfg.space][0], (ln, cfg.r0, cfg.t_end))
-                                  for ln in cfg.lambda_norms])  # before the run
+    closed = _closed_forms(cfg, [(ln, cfg.t_end, ln) for ln in cfg.lambda_norms])  # before the run
     stop_tol = 1e-13 if cfg.space is ModelSpace.HYPERBOLIC else None
     result = mc.run_radial_mc(
         cfg.space, cfg.r0, cfg.t_end, cfg.dt, cfg.n_paths, seed=cfg.seed,
@@ -275,11 +272,9 @@ def _cmd_charfn(cfg: ExperimentConfig) -> int:
 
 def _cmd_table(cfg: ExperimentConfig, t_values: list[float]) -> int:
     # Per |lambda|, the flat rows (of sqrt(6 / log t) zeta(t) past t = 1, as in the flat limit), then the limit.
-    finite, limit = _CLOSED_FORMS[cfg.space]
-    entries = [(ln, t, limit, (ln, cfg.r0)) if t == "inf" else
-               (ln, t, finite, (ln * (math.sqrt(6.0 / math.log(t)) if t > 1 else 1.0), cfg.r0, t))
-               for ln in cfg.lambda_norms for t in [*(t_values if cfg.space is ModelSpace.FLAT else []), "inf"]]
-    rows = [[cfg.space.value, ln, cfg.r0, t, v] for (ln, t, _, _), v in zip(entries, _closed_form_values(entries))]
+    entries = [(ln, t, ln * math.sqrt(6.0 / math.log(t)) if 1 < t < math.inf else ln)
+               for ln in cfg.lambda_norms for t in [*(t_values if cfg.space is ModelSpace.FLAT else []), math.inf]]
+    rows = [[cfg.space.value, ln, cfg.r0, t, v] for (ln, t, _), v in zip(entries, _closed_forms(cfg, entries))]
     header = ["space", "lambda_norm", "r0", "t", "closed_form_value"]
     _write_csv(cfg.out, header, rows, cfg.config_hash(t_values=t_values))
     if cfg.out:
@@ -462,8 +457,7 @@ def main(argv=None) -> int:
             return _cmd_simulate(cfg)
         if args.command == "charfn":
             return _cmd_charfn(cfg)
-        if args.command == "table":
-            return _cmd_table(cfg, args.t_values)
+        return _cmd_table(cfg, args.t_values)
     except ConfigError as exc:
         for v in exc.violations:
             print(f"config error: {v}", file=sys.stderr)
@@ -471,7 +465,6 @@ def main(argv=None) -> int:
     except OctowindError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

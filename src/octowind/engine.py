@@ -143,15 +143,10 @@ def _radial_states(space: ModelSpace, r0: float, t_end: float, dt: float, n_path
             return
 
 
-def simulate_radial(cfg: SimConfig, tilt=None) -> np.ndarray:
+def simulate_radial(cfg: SimConfig) -> np.ndarray:
     """One radial trajectory: the batch kernel with one path, every step kept
-    as a row of a structured array with fields ``time``, ``r`` and ``clock``.
-
-    ``tilt`` is the drift parameter mu (flat) or the pair (a_hat, b_hat)
-    (hyperbolic) of the exponentially tilted measure; zero reproduces the
-    untilted path.
-    """
-    states = _radial_states(cfg.space, cfg.r0, cfg.t_end, cfg.dt, 1, make_rng(cfg.seed), tilt)
+    as a row of a structured array with fields ``time``, ``r`` and ``clock``."""
+    states = _radial_states(cfg.space, cfg.r0, cfg.t_end, cfg.dt, 1, make_rng(cfg.seed))
     return np.fromiter(((t, r[0], a[0]) for t, r, a in states),
                        dtype=[("time", float), ("r", float), ("clock", float)])
 
@@ -168,9 +163,12 @@ def simulate_radial_batch(
 ):
     """Vectorized radial endpoints: returns (r_end, clock_end, t_reached).
 
-    With ``stop_rate_tol`` set, stepping stops early once every path's clock
-    rate has fallen below the tolerance (transient spaces only); the clock is
-    then final up to a bias below ``stop_rate_tol * (t_end - t_reached)``.
+    ``tilt`` is the drift parameter mu (flat) or the pair (a_hat, b_hat)
+    (hyperbolic) of the exponentially tilted measure; zero reproduces the
+    untilted paths.  With ``stop_rate_tol`` set, stepping stops early once
+    every path's clock rate has fallen below the tolerance (transient spaces
+    only); the clock is then final up to a bias below
+    ``stop_rate_tol * (t_end - t_reached)``.
     """
     for t_now, r, clock in _radial_states(space, r0, t_end, dt, n_paths, rng, tilt, stop_rate_tol):
         pass
@@ -213,7 +211,7 @@ def _coordinate_step(spec, w: np.ndarray, norm_sq: np.ndarray, dw_noise: np.ndar
     """Advance the columns of w (8, n), with |w|^2 = norm_sq, by one
     Euler-Maruyama or Stratonovich-Heun (predictor-corrector; Kloeden &
     Platen 1992) step driven by the scaled increments dw_noise (8, n)."""
-    if spec.sigma_sign == 0.0:
+    if spec.drift_sign == 0.0:
         return w + dw_noise  # flat: sigma = 1 and no drift in either form
     if scheme == EULER_MARUYAMA:
         sig, f = spec.coefficients(norm_sq, stratonovich=False)
@@ -341,8 +339,8 @@ PER_DECADE = 128
 
 def log_time_grid(t_end: float) -> np.ndarray:
     """Time grid [0, T_INIT, ...geometric..., t_end] for long flat runs."""
-    if not t_end > T_INIT:
-        raise DomainError(f"log_time_grid needs t_end > {T_INIT:g}")
+    if not T_INIT < t_end < math.inf:
+        raise DomainError(f"log_time_grid needs {T_INIT:g} < t_end < inf, not {t_end!r}")
     decades = math.log10(t_end / T_INIT)
     n = max(2, int(math.ceil(decades * PER_DECADE)))
     return np.concatenate([[0.0], np.geomspace(T_INIT, t_end, n + 1)])
@@ -355,8 +353,8 @@ def simulate_flat_exact_batch(rho: float, times: np.ndarray, n_paths: int, rng: 
     chi-square (8 degrees of freedom) transition kernel; only the clock uses
     the trapezoidal rule on the grid.  Returns (r_end, clock_end).
     """
-    if rho <= 0:
-        raise DomainError("rho must be positive")
+    if not 0 < rho < math.inf:
+        raise DomainError(f"rho = {rho!r} violates 0 < rho < inf")
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise DomainError("times must start at 0 and be strictly increasing")

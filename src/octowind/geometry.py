@@ -65,14 +65,13 @@ class SpaceSpec:
     of the implicit radial step x - b(x) dt = target; the clock rate does not
     depend on the tilt.  ``radius`` and ``norm`` are the chart |w| -> r and
     its inverse; they do not validate.  The coordinate SDE has sigma =
-    1 + sigma_sign |w|^2 and drift factor drift_sign * k * sigma, k = 6 (Ito)
+    1 - drift_sign |w|^2 and drift factor drift_sign * k * sigma, k = 6 (Ito)
     or 7 (Stratonovich).  Coordinate stepping stops at ``chart_ceiling``.
     """
 
     r_hi: float
     norm_hi: float
     chart_ceiling: float
-    sigma_sign: float
     drift_sign: float
     radial: Callable
     radius: Callable
@@ -80,7 +79,7 @@ class SpaceSpec:
 
     def coefficients(self, norm_sq, stratonovich: bool):
         """Unchecked (sigma, drift_factor) of the coordinate SDE at |w|^2 = norm_sq."""
-        sig = 1.0 + self.sigma_sign * norm_sq
+        sig = 1.0 - self.drift_sign * norm_sq
         return sig, ((7.0 if stratonovich else 6.0) * self.drift_sign) * sig
 
 
@@ -145,13 +144,13 @@ def _hyperbolic_radial(tilt):
 # is ~1e-12 and the radial route is cheaper.
 SPACES = {
     ModelSpace.FLAT: SpaceSpec(
-        r_hi=math.inf, norm_hi=math.inf, chart_ceiling=15.0, sigma_sign=0.0, drift_sign=0.0,
+        r_hi=math.inf, norm_hi=math.inf, chart_ceiling=15.0, drift_sign=0.0,
         radial=_flat_radial, radius=np.asarray, norm=np.asarray),
     ModelSpace.PROJECTIVE: SpaceSpec(
-        r_hi=math.pi / 2, norm_hi=math.inf, chart_ceiling=1.45, sigma_sign=1.0, drift_sign=-1.0,
+        r_hi=math.pi / 2, norm_hi=math.inf, chart_ceiling=1.45, drift_sign=-1.0,
         radial=_projective_radial, radius=np.arctan, norm=np.tan),
     ModelSpace.HYPERBOLIC: SpaceSpec(
-        r_hi=math.inf, norm_hi=1.0, chart_ceiling=15.0, sigma_sign=-1.0, drift_sign=1.0,
+        r_hi=math.inf, norm_hi=1.0, chart_ceiling=15.0, drift_sign=1.0,
         radial=_hyperbolic_radial, radius=lambda u: np.arctanh(np.minimum(u, 1.0 - 1e-15)),
         norm=np.tanh),
 }
@@ -180,14 +179,14 @@ def _scalar(x):
 
 def _check_radial(space: ModelSpace, r) -> np.ndarray:
     r = np.array(r, dtype=float)
-    if np.any(r <= 0.0) or np.any(r >= space.spec.r_hi):
+    if not np.all((0.0 < r) & (r < space.spec.r_hi)):  # NaN fails it too
         raise DomainError(f"radius outside the open domain (0.0, {space.spec.r_hi}) of {space.value}")
     return r
 
 
 def _check_norm(space: ModelSpace, w_norm) -> np.ndarray:
     w_norm = np.array(w_norm, dtype=float)
-    if np.any(w_norm < 0) or np.any(w_norm >= space.spec.norm_hi):
+    if not np.all((0.0 <= w_norm) & (w_norm < space.spec.norm_hi)):
         raise DomainError(f"coordinate norm outside [0.0, {space.spec.norm_hi}) of the {space.value} chart")
     return w_norm
 

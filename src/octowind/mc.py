@@ -11,13 +11,13 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .engine import (
     DEFAULT_SEED,
-    STRATONOVICH_HEUN,
     log_time_grid,
     make_rng,
     sample_windings_timechange,
@@ -56,20 +56,19 @@ def run_problems(n_paths: int, block_size: int, workers: int, seed: int) -> list
     return problems
 
 
-def _block(job):
-    kernel, args, kwargs, seed, i, n, want_winding = job
+def _block(kernel, seed, want_winding, i, n):
     rng = make_rng(seed, (i,))
     try:
-        fields = kernel(*args, n, rng, **kwargs)
+        fields = kernel(n, rng)
     except SimulationError as exc:
         raise SimulationError(f"block {i}: {exc}") from None
     return (*fields, sample_windings_timechange(fields[1], rng)) if want_winding else fields
 
 
-def _run_blocks(kernel, args, n_paths, seed, block_size, workers, want_winding=False, **kwargs):
-    """Run ``kernel(*args, n, rng, **kwargs)`` on every block of the n_paths,
-    block i on the stream (seed, i), and concatenate each result field in
-    block order; scalar fields come back as one array of per-block values.
+def _run_blocks(kernel, n_paths, seed, block_size, workers, want_winding=False):
+    """Run ``kernel(n, rng)`` on every block of the n_paths, block i on the
+    stream (seed, i), and concatenate each result field in block order;
+    scalar fields come back as one array of per-block values.
 
     With ``want_winding`` the block also draws time-change windings from its
     second field, the clock, on the same stream; they come last.
@@ -80,16 +79,16 @@ def _run_blocks(kernel, args, n_paths, seed, block_size, workers, want_winding=F
         raise DomainError("; ".join(problems))
     full, rem = divmod(n_paths, block_size)
     sizes = [block_size] * full + ([rem] if rem else [])
-    jobs = [(kernel, args, kwargs, seed, i, n, want_winding) for i, n in enumerate(sizes)]
-    if workers <= 1 or len(jobs) <= 1:
-        parts = [_block(job) for job in jobs]
+    block = partial(_block, kernel, seed, want_winding)
+    if workers <= 1 or len(sizes) <= 1:
+        parts = list(map(block, range(len(sizes)), sizes))
     else:
         # Imported here so that an in-process run never loads the pool module.
         from concurrent.futures import ProcessPoolExecutor
 
         # A fork pool starts all its workers at once; more than one per block would idle.
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            parts = list(pool.map(_block, jobs))
+        with ProcessPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
+            parts = list(pool.map(block, range(len(sizes)), sizes))
     return [np.concatenate(field) if np.ndim(field[0]) else np.array(field) for field in zip(*parts)]
 
 
@@ -117,9 +116,8 @@ def run_radial_mc(
     workers: Optional[int] = None,
 ) -> RadialMcResult:
     """Radial endpoints (and optional time-change windings) over n_paths."""
-    r_end, clock, _, *zeta = _run_blocks(simulate_radial_batch, (space, r0, t_end, dt), n_paths, seed,
-                                         block_size, workers, want_winding, tilt=tilt,
-                                         stop_rate_tol=stop_rate_tol)
+    kernel = partial(simulate_radial_batch, space, r0, t_end, dt, tilt=tilt, stop_rate_tol=stop_rate_tol)
+    r_end, clock, _, *zeta = _run_blocks(kernel, n_paths, seed, block_size, workers, want_winding)
     return RadialMcResult(space, t_end, seed, r_end, clock, zeta[0] if zeta else None)
 
 
@@ -136,13 +134,12 @@ def run_coordinate_mc(
     dt: float,
     n_paths: int,
     seed: int = DEFAULT_SEED,
-    scheme: str = STRATONOVICH_HEUN,
     block_size: int = DEFAULT_BLOCK_SIZE,
     workers: Optional[int] = None,
 ) -> CoordinateMcResult:
-    """Line-integral windings over n_paths coordinate trajectories."""
-    zeta, switched = _run_blocks(simulate_coordinate_batch, (space, np.asarray(w0, dtype=float), t_end, dt),
-                                 n_paths, seed, block_size, workers, scheme=scheme)
+    """Line-integral windings over n_paths Stratonovich-Heun coordinate trajectories."""
+    kernel = partial(simulate_coordinate_batch, space, np.asarray(w0, dtype=float), t_end, dt)
+    zeta, switched = _run_blocks(kernel, n_paths, seed, block_size, workers)
     return CoordinateMcResult(zeta, int(switched.sum()))
 
 
@@ -156,6 +153,6 @@ def run_flat_exact_mc(
     workers: Optional[int] = None,
 ) -> RadialMcResult:
     """Flat radial endpoints on a logarithmic grid with exact transitions."""
-    r_end, clock, *zeta = _run_blocks(simulate_flat_exact_batch, (rho, log_time_grid(t_end)), n_paths, seed,
-                                      block_size, workers, want_winding)
+    kernel = partial(simulate_flat_exact_batch, rho, log_time_grid(t_end))
+    r_end, clock, *zeta = _run_blocks(kernel, n_paths, seed, block_size, workers, want_winding)
     return RadialMcResult(ModelSpace.FLAT, t_end, seed, r_end, clock, zeta[0] if zeta else None)

@@ -115,6 +115,8 @@ def oh1_limit_charfn(lambda_norm: float, r0: float) -> float:
     if not r0 >= sys.float_info.min:  # below it 2q / (1 - q) overflows
         raise DomainError(f"oh1_limit_charfn requires r0 >= {sys.float_info.min!r}")
     lam = float(lambda_norm)
+    if not 0.0 <= lam <= LAMBDA_MAX:  # NaN fails it too
+        raise DomainError(f"oh1_limit_charfn requires 0 <= |lambda| <= {LAMBDA_MAX!r}, not {lam!r}")
     nu, q = order_from_lambda(lam), math.exp(-2.0 * r0)
     log_tanh = -math.log1p(2.0 * q / -math.expm1(-2.0 * r0))
     s = 4.0 * q / (1.0 + q) ** 2
@@ -132,6 +134,8 @@ def oh1_limit_charfn_expanded(lambda_norm: float, r0: float) -> float:
     if not 0 < r0 <= r_max:
         raise DomainError(f"oh1_limit_charfn_expanded requires 0 < r0 <= {r_max!r}, past which cosh^6(r0) overflows")
     lam = float(lambda_norm)
+    if not 0.0 <= lam <= LAMBDA_MAX:
+        raise DomainError(f"oh1_limit_charfn_expanded requires 0 <= |lambda| <= {LAMBDA_MAX!r}, not {lam!r}")
     nu, ch2 = order_from_lambda(lam), math.cosh(r0) ** 2
     a = ch2 * ch2 / 12.0 + (nu - 2.0) * ch2 / 60.0 + (lam * lam - 3.0 * nu + 11.0) / 720.0
     ch6 = math.cosh(r0) ** 6

@@ -484,6 +484,15 @@ def test_bad_out_exits_2_before_the_run(tmp_path, monkeypatch, capsys, command, 
     assert not any(tmp_path.iterdir())
 
 
+def test_out_name_too_long_exits_2_before_the_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    out = "o" * 300 + ".csv"  # past the 255-byte name limit of common file systems
+    assert _run(["simulate", "--space", "flat", "--t", "0.01", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"config error: out = {out!r}: File name too long\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_projective_radial_start_beyond_the_chart_ceiling_runs(tmp_path, capsys):
     # 1.5 lies past the coordinate chart ceiling 1.45 but inside the radial
     # domain, which is all a radial path needs.

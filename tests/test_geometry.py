@@ -96,6 +96,10 @@ def test_domain_checks(space):
         clock_rate(space, lo)
     with pytest.raises(DomainError):
         clock_rate(space, -0.1)
+    for check in (clock_rate, coord_norm, sde_coefficients, stratonovich_drift_factor):
+        for x in (math.nan, [0.5, math.nan]):  # NaN fails every comparison, so it passes "x < lo or x > hi"
+            with pytest.raises(DomainError):
+                check(space, x)
     if math.isfinite(hi):
         with pytest.raises(DomainError):
             clock_rate(space, hi)
@@ -133,8 +137,9 @@ def test_chart_values():
     assert coord_radius(ModelSpace.HYPERBOLIC, math.tanh(1.0)) == pytest.approx(1.0)
     with pytest.raises(DomainError):
         coord_radius(ModelSpace.HYPERBOLIC, 1.0)
-    with pytest.raises(DomainError):
-        coord_radius(ModelSpace.FLAT, -0.1)
+    for w_norm in (-0.1, math.nan):
+        with pytest.raises(DomainError):
+            coord_radius(ModelSpace.FLAT, w_norm)
 
 
 def test_sde_coefficients_values():

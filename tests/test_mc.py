@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import pickle
 import re
 
 import numpy as np
@@ -41,8 +42,11 @@ def test_flat_exact_mc_independent_of_worker_count():
     assert runs[0].zeta.shape == (90, 7)
 
 
-def test_pool_has_at_most_one_worker_per_block(monkeypatch):
-    # The stub runs the blocks in this process and records the pool size asked for.
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap the process pool for one that runs the blocks in this process, after the pickle
+    round trip that a pool started by spawn or forkserver makes of each block job in a fresh
+    interpreter; the list it returns records each pool size asked for."""
     sizes = []
 
     class InProcessPool:
@@ -55,14 +59,33 @@ def test_pool_has_at_most_one_worker_per_block(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def map(self, fn, *iterables):
+            return map(pickle.loads(pickle.dumps(fn)), *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+def test_pool_has_at_most_one_worker_per_block(pool_sizes):
     runs = [mc.run_radial_mc(ModelSpace.FLAT, 1.0, 0.05, 1e-3, 80, seed=33, want_winding=True,
                              block_size=40, workers=workers) for workers in (1, 64)]
-    assert sizes == [2]
+    assert pool_sizes == [2]
     _assert_same_arrays(*runs)
+
+
+@pytest.mark.parametrize("run", [
+    lambda **kw: mc.run_radial_mc(ModelSpace.HYPERBOLIC, 1.0, 0.05, 1e-3, 80, seed=35, want_winding=True, **kw),
+    lambda **kw: mc.run_coordinate_mc(ModelSpace.PROJECTIVE, np.eye(8)[0], 0.05, 1e-3, 80, seed=36, **kw),
+    lambda **kw: mc.run_flat_exact_mc(1.0, 10.0, 80, seed=37, want_winding=True, **kw),
+], ids=["radial", "coordinate", "flat_exact"])
+def test_block_job_survives_pickling(pool_sizes, run):
+    _assert_same_arrays(run(block_size=40, workers=1), run(block_size=40, workers=2))
+    assert pool_sizes == [2]
+
+
+def test_projective_tilt_is_refused():
+    with pytest.raises(DomainError, match="projective"):
+        mc.run_radial_mc(ModelSpace.PROJECTIVE, 1.0, 0.01, 1e-3, 10, seed=1, tilt=0.5, workers=1)
 
 
 @pytest.mark.parametrize("settings,named", [

@@ -172,6 +172,11 @@ def test_limit_charfns_stay_finite_up_to_lambda_max():
     for r0 in (0.5, 1.0, 2.0):
         assert specfun.oh1_limit_charfn(big, r0) == specfun.oh1_limit_charfn_expanded(big, r0) == 0.0
     assert specfun.flat_limit_charfn(big) == specfun.op1_limit_charfn(big) == 0.0
+    # Past it, below 0 or at NaN, the hyperbolic limit is refused rather than an overflow or a NaN.
+    for ln in (1e200, big * 1.01, -1.0, math.nan):
+        for limit in (specfun.oh1_limit_charfn, specfun.oh1_limit_charfn_expanded):
+            with pytest.raises(DomainError, match=r"\|lambda\|"):
+                limit(ln, 1.0)
 
 
 @pytest.mark.parametrize("r0", [119.0, 120.0, 200.0, 400.0])

@@ -30,6 +30,11 @@ def test_mc_charfn_cosine_fallback():
     assert est.value == pytest.approx(0.5 * (math.cos(0.7) + math.cos(1.4)), rel=1e-12)
 
 
+def test_mc_charfn_needs_windings_or_clock():
+    with pytest.raises(DomainError, match="neither"):
+        stats.mc_charfn(SimpleNamespace(zeta=None, clock_end=None), 1.0)
+
+
 def test_mc_charfn_accepts_batched_result():
     res = SimpleNamespace(zeta=None, clock_end=np.array([1.0, 2.0]))
     est = stats.mc_charfn(res, 1.0)
