@@ -349,20 +349,37 @@ def log_time_grid(t_end: float) -> np.ndarray:
 def simulate_flat_exact_batch(rho: float, times: np.ndarray, n_paths: int, rng: np.random.Generator):
     """Exact squared-radius transitions of the flat radial process.
 
-    The squared radius is sampled step by step from its noncentral
+    The squared radius x is sampled step by step from its noncentral
     chi-square (8 degrees of freedom) transition kernel; only the clock uses
     the trapezoidal rule on the grid.  Returns (r_end, clock_end).
+
+    The start x = rho**2, its clock rate 1 / x and the noncentrality x / dt
+    of the smallest step must be doubles, so rho must lie in
+    [sqrt(smallest normal double), sqrt(largest double / 4 * min(1, dt))];
+    the factor 4 leaves room for the draw.
     """
-    if not 0 < rho < math.inf:
-        raise DomainError(f"rho = {rho!r} violates 0 < rho < inf")
     times = np.asarray(times, dtype=float)
-    if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-        raise DomainError("times must start at 0 and be strictly increasing")
+    steps = np.diff(times)
+    if not (steps.size and times[0] == 0.0 and np.all(steps > 0) and times[-1] < math.inf):
+        raise DomainError("times must start at 0 and increase strictly to a finite end")
+    lo = math.sqrt(sys.float_info.min)
+    hi = math.sqrt(sys.float_info.max / 4 * min(1.0, steps.min()))
+    if not lo <= rho <= hi:
+        raise DomainError(f"rho = {rho!r} violates {lo:.4g} <= rho <= {hi:.4g}, outside which rho**2, "
+                          f"1 / rho**2 or rho**2 / dt leaves the double range")
     x = np.full(n_paths, rho * rho)
     clock = np.zeros(n_paths)
-    for i in range(len(times) - 1):
-        delta = times[i + 1] - times[i]
-        x_new = rng.noncentral_chisquare(8.0, x / delta, size=n_paths) * delta
-        clock += 0.5 * delta * (1.0 / x + 1.0 / x_new)
-        x = x_new
+    # In place, with 1 / x carried over, but the operations and their order of
+    # x_new = ncx2(8, x / delta) * delta; clock += 0.5 * delta * (1 / x + 1 / x_new).
+    inv_x = 1.0 / x
+    nonc, inv_new, trap = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
+    for delta in steps.tolist():
+        np.divide(x, delta, out=nonc)
+        x = rng.noncentral_chisquare(8.0, nonc, size=n_paths)
+        x *= delta
+        np.divide(1.0, x, out=inv_new)
+        np.add(inv_x, inv_new, out=trap)
+        trap *= 0.5 * delta
+        clock += trap
+        inv_x, inv_new = inv_new, inv_x
     return np.sqrt(x), clock

@@ -2,7 +2,10 @@
 
 Estimators take a batched result of the drivers in :mod:`octowind.mc`: an
 object with ``zeta`` (n, 7) and, optionally, ``clock_end`` (n,).  SciPy is
-imported by the three functions that call it; :func:`mc_charfn` runs without it.
+imported by the two functions that call it: :func:`gaussian_test` loads
+``scipy.special`` for the normal CDF and :func:`stationary_mean_clock_rate`
+``scipy.integrate``.  The KS statistics are computed here, without the
+p-value that ``scipy.stats.kstest`` would add, so nothing loads ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -62,6 +65,20 @@ def mc_charfn(result, lambda_norm: float) -> McEstimate:
     return McEstimate(value=value, std_error=se)
 
 
+def _ks_statistic(samples: np.ndarray, cdf) -> np.ndarray:
+    """Two-sided one-sample KS statistic of ``samples`` against ``cdf``, along the last axis.
+
+    With the samples sorted and F their CDF values, D = max(max(i/n - F_i),
+    max(F_i - (i-1)/n)): the statistic of ``scipy.stats.kstest``, bit for bit,
+    without its p-value.  A row that holds a NaN gives NaN.
+    """
+    f = cdf(np.sort(samples, axis=-1))
+    n = f.shape[-1]
+    d_plus = (np.arange(1.0, n + 1) / n - f).max(axis=-1)
+    d_minus = (f - np.arange(0.0, n) / n).max(axis=-1)
+    return np.maximum(d_plus, d_minus)
+
+
 def gaussian_test(
     result,
     target_cov,
@@ -75,21 +92,22 @@ def gaussian_test(
     compared to the standard normal CDF by a one-sample KS statistic; the
     sample covariance must match the target within the stated tolerances.
     """
-    from scipy import stats as spstats
+    from scipy.special import ndtr  # the standard normal CDF that scipy.stats.norm.cdf evaluates
 
     zeta, _ = _gather(result)
     if zeta is None:
         raise DomainError("gaussian_test needs winding samples")
+    if np.ndim(zeta) != 2 or np.shape(zeta)[1] != 7:
+        raise DomainError(f"gaussian_test needs windings of shape (n, 7), not {np.shape(zeta)}")
     if len(zeta) < 100:
         raise DomainError("gaussian_test needs at least 100 samples")
     target_cov = np.asarray(target_cov, dtype=float)
+    if target_cov.shape != (7, 7):
+        raise DomainError(f"target covariance must be 7x7, not {target_cov.shape}")
     diag = np.diag(target_cov)
-    if np.any(diag <= 0):
-        raise DomainError("target covariance is degenerate")
-    ks = np.array([
-        spstats.kstest(zeta[:, i] / math.sqrt(diag[i]), "norm").statistic
-        for i in range(7)
-    ])
+    if not (np.all(np.isfinite(target_cov)) and np.all(diag > 0)):
+        raise DomainError("target covariance must be finite with a positive diagonal")
+    ks = _ks_statistic((zeta / np.sqrt(diag)).T, ndtr)
     cov = np.cov(zeta, rowvar=False)
     off = cov - np.diag(np.diag(cov))
     max_offdiag = float(np.abs(off).max())
@@ -123,8 +141,6 @@ def stationary_density_check(radial_samples, space: ModelSpace) -> float:
 
     Only the projective space has a stationary radial law.
     """
-    from scipy import stats as spstats
-
     if space is not ModelSpace.PROJECTIVE:
         raise DomainError("stationary density check applies to the projective space only")
     samples = np.asarray(radial_samples, dtype=float)
@@ -135,4 +151,4 @@ def stationary_density_check(radial_samples, space: ModelSpace) -> float:
         # The integral of sin^7(2u) over (0, r), a polynomial in c = cos 2r, over its total 16/35.
         c = np.cos(2.0 * r)
         return 0.5 - 35.0 / 32.0 * (c - c ** 3 + 0.6 * c ** 5 - c ** 7 / 7.0)
-    return float(spstats.kstest(samples, cdf).statistic)
+    return float(_ks_statistic(samples, cdf))

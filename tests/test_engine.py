@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from octowind import engine, geometry
+from octowind import engine, geometry, mc
 from octowind.engine import (
     EULER_MARUYAMA,
     PER_DECADE,
@@ -616,10 +616,45 @@ def test_flat_exact_batch_mean_squared_radius():
 
 def test_flat_exact_batch_validation():
     rng = make_rng(62)
-    for rho in (0.0, math.nan, math.inf):  # NaN would give NaN clocks, inf all-zero ones
-        with pytest.raises(DomainError):
+    # NaN would give NaN clocks and inf all-zero ones; 1e200 squares to inf, 1e-200 to 0 (a
+    # divide-by-zero warning in 1 / x) and 1e-160 to a subnormal whose reciprocal overflows.
+    for rho in (0.0, math.nan, math.inf, 1e200, 1e-200, 1e-160):
+        with pytest.raises(DomainError, match="violates .* <= rho <= "):
             simulate_flat_exact_batch(rho, np.array([0.0, 1.0]), 10, rng)
+    with pytest.raises(DomainError, match="rho = 1e[+]200 violates"):
+        mc.run_flat_exact_mc(1e200, 1.0, 10, workers=1)
+    for times in ([0.5, 1.0], [0.0, 1.0, 1.0], [0.0], [0.0, math.nan], [0.0, 1.0, math.inf]):
+        with pytest.raises(DomainError, match="times"):
+            simulate_flat_exact_batch(1.0, np.array(times), 10, rng)
+
+
+def test_flat_exact_batch_runs_at_the_ends_of_its_range():
+    # Under the suite's warning filter an overflow or a division by zero would raise.
+    times = log_time_grid(1e4)
+    lo = math.sqrt(sys.float_info.min)
+    hi = math.sqrt(sys.float_info.max / 4 * np.diff(times).min())
+    for rho in (lo, hi):
+        r, clock = simulate_flat_exact_batch(rho, times, 50, make_rng(63))
+        assert np.all(np.isfinite(r)) and np.all(np.isfinite(clock)) and np.all(clock > 0)
     with pytest.raises(DomainError):
-        simulate_flat_exact_batch(1.0, np.array([0.5, 1.0]), 10, rng)
+        simulate_flat_exact_batch(np.nextafter(hi, math.inf), times, 50, make_rng(63))
     with pytest.raises(DomainError):
-        simulate_flat_exact_batch(1.0, np.array([0.0, 1.0, 1.0]), 10, rng)
+        simulate_flat_exact_batch(np.nextafter(lo, 0.0), times, 50, make_rng(63))
+
+
+def test_flat_exact_batch_keeps_the_bits_of_the_plain_loop():
+    def plain(rho, times, n_paths, rng):
+        x = np.full(n_paths, rho * rho)
+        clock = np.zeros(n_paths)
+        for i in range(len(times) - 1):
+            delta = times[i + 1] - times[i]
+            x_new = rng.noncentral_chisquare(8.0, x / delta, size=n_paths) * delta
+            clock += 0.5 * delta * (1.0 / x + 1.0 / x_new)
+            x = x_new
+        return np.sqrt(x), clock
+
+    times = log_time_grid(1e4)
+    want_rng, got_rng = make_rng(64), make_rng(64)
+    want, got = plain(1.0, times, 300, want_rng), simulate_flat_exact_batch(1.0, times, 300, got_rng)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert np.array_equal(got_rng.standard_normal(4), want_rng.standard_normal(4))

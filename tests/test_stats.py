@@ -78,6 +78,45 @@ def test_gaussian_test_needs_enough_samples(rng):
                             np.zeros((7, 7)))
 
 
+def test_gaussian_test_refuses_malformed_input(rng):
+    zeta = rng.standard_normal((200, 7))
+    for cov in (np.eye(6), np.eye(8), np.full((7, 7), math.nan), np.diag([1.0] * 6 + [math.inf])):
+        with pytest.raises(DomainError, match="target covariance"):
+            stats.gaussian_test(SimpleNamespace(zeta=zeta, clock_end=None), cov)
+    for bad in (zeta[:, :6], zeta[:, 0], zeta[:, :, None]):
+        with pytest.raises(DomainError, match="shape"):
+            stats.gaussian_test(SimpleNamespace(zeta=bad, clock_end=None), np.eye(7))
+
+
+def _with_ties_and_a_nan(x):
+    x = x.copy()
+    x[: len(x) // 3, 0] = np.round(x[: len(x) // 3, 0], 1)  # many ties
+    x[3, 1] = -0.0
+    x[4, 1] = 0.0
+    x[len(x) // 2, -1] = math.nan  # a column whose statistic is NaN
+    return x
+
+
+@pytest.mark.parametrize("n", [150, 20_000])
+def test_ks_statistics_equal_scipy_kstest(rng, n):
+    from scipy.stats import kstest
+
+    sigma = np.array([0.5, 1.0, 1.5, 2.0, 0.8, 1.2, 3.0])
+    zeta = _with_ties_and_a_nan(rng.standard_normal((n, 7)) * sigma)
+    rep = stats.gaussian_test(SimpleNamespace(zeta=zeta, clock_end=None), np.diag(sigma ** 2))
+    want = [kstest(zeta[:, i] / sigma[i], "norm").statistic for i in range(7)]
+    assert np.isnan(rep.ks_per_marginal[-1])
+    assert np.array_equal(rep.ks_per_marginal, want, equal_nan=True)
+
+    def cdf(r):
+        c = np.cos(2.0 * r)
+        return 0.5 - 35.0 / 32.0 * (c - c ** 3 + 0.6 * c ** 5 - c ** 7 / 7.0)
+
+    for col in _with_ties_and_a_nan(rng.uniform(0.0, math.pi / 2, size=(n, 2))).T:
+        got = stats.stationary_density_check(col, ModelSpace.PROJECTIVE)
+        assert np.array_equal(got, kstest(col, cdf).statistic, equal_nan=True)
+
+
 def test_stationary_mean_clock_rate_is_14_thirds():
     assert abs(stats.stationary_mean_clock_rate() - 14.0 / 3.0) < 1e-10
 
