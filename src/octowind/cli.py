@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import engine, mc, specfun, stats
-from .engine import DEFAULT_SEED, SCHEMES, STRATONOVICH_HEUN, SimConfig
+from .engine import DEFAULT_SEED, SCHEMES, STRATONOVICH_HEUN
 from .errors import ConfigError, DomainError, OctowindError
 from .geometry import ModelSpace
 from .octonion import mul_array, printed_winding, winding_form_array
@@ -211,10 +211,8 @@ def _fmt(v):
 # Subcommands
 
 def _cmd_simulate(cfg: ExperimentConfig) -> int:
-    sim = SimConfig(space=cfg.space, t_end=cfg.t_end, dt=cfg.dt, r0=cfg.r0, w0=cfg.w0, scheme=cfg.scheme,
-                    seed=cfg.seed)
     if cfg.w0 is not None:
-        path = engine.simulate_coordinate(sim)
+        path = engine.simulate_coordinate(cfg)
         end = path[-1]
         header = ["time"] + [f"c{i}" for i in range(8)] + [f"zeta{i}" for i in range(1, 8)]
         rows = (  # no coordinates once the path has switched to the skew product
@@ -223,7 +221,7 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
         )
         print(f"coordinate path: t_end={end['time']:.6g} |zeta|={float(np.linalg.norm(end['zeta'])):.6g}")
     else:
-        path = engine.simulate_radial(sim)
+        path = engine.simulate_radial(cfg)
         end = path[-1]
         header = list(path.dtype.names)
         rows = zip(*(path[name] for name in header))

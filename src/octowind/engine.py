@@ -143,24 +143,17 @@ def _radial_states(space: ModelSpace, r0: float, t_end: float, dt: float, n_path
             return
 
 
-def simulate_radial(cfg: SimConfig) -> np.ndarray:
+def simulate_radial(cfg) -> np.ndarray:
     """One radial trajectory: the batch kernel with one path, every step kept
-    as a row of a structured array with fields ``time``, ``r`` and ``clock``."""
+    as a row of a structured array with fields ``time``, ``r`` and ``clock``.
+    ``cfg`` is any request with fields space, t_end, dt, r0 and seed."""
     states = _radial_states(cfg.space, cfg.r0, cfg.t_end, cfg.dt, 1, make_rng(cfg.seed))
     return np.fromiter(((t, r[0], a[0]) for t, r, a in states),
                        dtype=[("time", float), ("r", float), ("clock", float)])
 
 
-def simulate_radial_batch(
-    space: ModelSpace,
-    r0: float,
-    t_end: float,
-    dt: float,
-    n_paths: int,
-    rng: np.random.Generator,
-    tilt=None,
-    stop_rate_tol: Optional[float] = None,
-):
+def simulate_radial_batch(space: ModelSpace, r0: float, t_end: float, dt: float, n_paths: int,
+                          rng: np.random.Generator, tilt=None, stop_rate_tol: Optional[float] = None):
     """Vectorized radial endpoints: returns (r_end, clock_end, t_reached).
 
     ``tilt`` is the drift parameter mu (flat) or the pair (a_hat, b_hat)
@@ -223,10 +216,11 @@ def _coordinate_step(spec, w: np.ndarray, norm_sq: np.ndarray, dw_noise: np.ndar
     return w + (0.5 * h) * (fw + f2 * pred) + (0.5 * (sig + sig2)) * dw_noise
 
 
-def simulate_coordinate(cfg: SimConfig, rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def simulate_coordinate(cfg, rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """One coordinate trajectory with its running line-integral winding: the
     batch kernel with one path, every step kept as a row of a structured
     array with fields ``time``, ``w`` (8 values) and ``zeta`` (7 values).
+    ``cfg`` is any request with fields space, t_end, dt, w0, scheme and seed.
 
     A path that meets the switch rule continues on the skew-product route as
     in the batch: from the step where it switched, its ``w`` is NaN and
@@ -302,15 +296,8 @@ def _coordinate_states(space: ModelSpace, w0: np.ndarray, t_end: float, dt: floa
         zeta[sw_idx[order]] += sample_windings_timechange(sw[3, order], rng)
 
 
-def simulate_coordinate_batch(
-    space: ModelSpace,
-    w0: np.ndarray,
-    t_end: float,
-    dt: float,
-    n_paths: int,
-    rng: np.random.Generator,
-    scheme: str = STRATONOVICH_HEUN,
-):
+def simulate_coordinate_batch(space: ModelSpace, w0: np.ndarray, t_end: float, dt: float, n_paths: int,
+                              rng: np.random.Generator, scheme: str = STRATONOVICH_HEUN):
     """Vectorized line-integral windings: returns (zeta, n_switched).
 
     Paths that meet the switch rule (:func:`_leaves_chart`) switch to the
@@ -332,15 +319,17 @@ def simulate_coordinate_batch(
 # ---------------------------------------------------------------------------
 # Exact flat-space transitions for very long horizons
 
-#: First positive time and points per decade of :func:`log_time_grid`.
+#: First positive time, points per decade and largest end of :func:`log_time_grid`; past that
+#: end t_end / T_INIT, and so the point count, overflows.
 T_INIT = 1e-4
 PER_DECADE = 128
+T_GRID_MAX = sys.float_info.max * T_INIT
 
 
 def log_time_grid(t_end: float) -> np.ndarray:
     """Time grid [0, T_INIT, ...geometric..., t_end] for long flat runs."""
-    if not T_INIT < t_end < math.inf:
-        raise DomainError(f"log_time_grid needs {T_INIT:g} < t_end < inf, not {t_end!r}")
+    if not T_INIT < t_end <= T_GRID_MAX:
+        raise DomainError(f"log_time_grid needs {T_INIT:g} < t_end <= {T_GRID_MAX:.4g}, not {t_end!r}")
     decades = math.log10(t_end / T_INIT)
     n = max(2, int(math.ceil(decades * PER_DECADE)))
     return np.concatenate([[0.0], np.geomspace(T_INIT, t_end, n + 1)])
@@ -353,20 +342,21 @@ def simulate_flat_exact_batch(rho: float, times: np.ndarray, n_paths: int, rng: 
     chi-square (8 degrees of freedom) transition kernel; only the clock uses
     the trapezoidal rule on the grid.  Returns (r_end, clock_end).
 
-    The start x = rho**2, its clock rate 1 / x and the noncentrality x / dt
-    of the smallest step must be doubles, so rho must lie in
-    [sqrt(smallest normal double), sqrt(largest double / 4 * min(1, dt))];
-    the factor 4 leaves room for the draw.
+    The start x = rho**2, its clock rate 1 / x, the first trapezoid
+    0.5 * dt_0 (1 / x + 1 / x_1) and the noncentrality x / dt of the smallest
+    step must be doubles, so with m and M the smallest normal and the largest
+    double, rho must lie in [sqrt(max(m, 4 dt_0 / M)), sqrt(M / 4 * min(1, dt))];
+    each factor 4 leaves room for the draw.
     """
     times = np.asarray(times, dtype=float)
     steps = np.diff(times)
     if not (steps.size and times[0] == 0.0 and np.all(steps > 0) and times[-1] < math.inf):
         raise DomainError("times must start at 0 and increase strictly to a finite end")
-    lo = math.sqrt(sys.float_info.min)
+    lo = math.sqrt(max(sys.float_info.min, steps[0] / (sys.float_info.max / 4)))
     hi = math.sqrt(sys.float_info.max / 4 * min(1.0, steps.min()))
     if not lo <= rho <= hi:
         raise DomainError(f"rho = {rho!r} violates {lo:.4g} <= rho <= {hi:.4g}, outside which rho**2, "
-                          f"1 / rho**2 or rho**2 / dt leaves the double range")
+                          f"1 / rho**2, the first trapezoid or rho**2 / dt leaves the double range")
     x = np.full(n_paths, rho * rho)
     clock = np.zeros(n_paths)
     # In place, with 1 / x carried over, but the operations and their order of

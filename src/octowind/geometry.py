@@ -63,10 +63,13 @@ class SpaceSpec:
     ``radial(tilt)`` returns the radial law under a tilt (None for the
     untilted law), r -> (drift b(r), clock rate), together with the solver
     of the implicit radial step x - b(x) dt = target; the clock rate does not
-    depend on the tilt.  ``radius`` and ``norm`` are the chart |w| -> r and
-    its inverse; they do not validate.  The coordinate SDE has sigma =
-    1 - drift_sign |w|^2 and drift factor drift_sign * k * sigma, k = 6 (Ito)
-    or 7 (Stratonovich).  Coordinate stepping stops at ``chart_ceiling``.
+    depend on the tilt.  A law takes an array or a float; past r = 1e154 (flat)
+    or 177.5 (hyperbolic), where the rate is below 1e-307, it holds the rate at
+    its value there (1e-308, ~7.2e-308) rather than overflow.  ``radius`` and
+    ``norm`` are the chart |w| -> r and its inverse; they do not validate.  The
+    coordinate SDE has sigma = 1 - drift_sign |w|^2 and drift factor
+    drift_sign * k * sigma, k = 6 (Ito) or 7 (Stratonovich).  Coordinate
+    stepping stops at ``chart_ceiling``.
     """
 
     r_hi: float
@@ -102,10 +105,9 @@ def _flat_radial(tilt):
         raise DomainError("flat tilt must keep the Bessel drift positive (mu > -3.5)")
 
     def law(r):
-        # Past r ~ 1.3e154 r * r overflows; the rate is below 1e-308, and (1 / r)^2 underflows to it quietly.
-        if not r.max(initial=0.0) < 1e154:
-            return k / r, (1.0 / r) ** 2
-        return k / r, 1.0 / (r * r)
+        # Past r = 1e154, where r * r would overflow, the rate is held at 1e-308.  np.square, not ** 2,
+        # which on a NumPy scalar calls pow and can be 1 ulp off r * r.
+        return k / r, 1.0 / np.square(np.minimum(r, 1e154))
     return law, lambda target, dt: 0.5 * (target + np.sqrt(target * target + 4.0 * k * dt))
 
 
@@ -127,11 +129,8 @@ def _hyperbolic_radial(tilt):
 
     def law(r):
         th = np.tanh(r)
-        # sinh(2r)^2 overflows past r ~ 177.6, where the rate is below 1e-307:
-        # sinh(inf) = inf gives it as 0.  One reduction keeps the common path bare.
-        if not r.max(initial=0.0) < 177.5:
-            r = np.where(r >= 177.5, np.inf, r)
-        return p / th + q * th, 4.0 / np.sinh(2.0 * r) ** 2
+        # Past r = 177.5, where sinh(2r)^2 nears overflow, the rate is held at ~7.2e-308.
+        return p / th + q * th, 4.0 / np.sinh(2.0 * np.minimum(r, 177.5)) ** 2
 
     # For x >= 1, |b(x)| <= |p| / tanh 1 + |q|, so x - b(x) dt - target > 0 at this hi.
     b_max = abs(p) / math.tanh(1.0) + abs(q)

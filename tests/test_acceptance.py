@@ -7,7 +7,9 @@ errors.
 """
 
 import math
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -207,16 +209,27 @@ def test_criterion_6_hyperbolic_limit():
 # ---------------------------------------------------------------------------
 # 7. Skew-product equivalence in every space
 
-def test_criterion_7_skew_product_equivalence():
+def test_criterion_7_skew_product_equivalence(monkeypatch):
     t_end = 4.0
     cases = [(ModelSpace.FLAT, 1.0), (ModelSpace.PROJECTIVE, 0.5), (ModelSpace.HYPERBOLIC, 1.0)]
+    # Each coordinate run is one block on one core, so the six independent runs go to the usable
+    # cores at once, each with one worker; block i draws from stream (seed, i) whatever the worker count.
+    # The processes are spawned with one BLAS thread each, since forked ones keep the BLAS threads of this
+    # one and those spin against each other; the one BLAS product, octonion._ETA @ x, is exact either way.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    with ProcessPoolExecutor(max_workers=min(6, len(os.sched_getaffinity(0))),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        jobs = []
+        for space, r0 in cases:
+            w0 = np.zeros(8)
+            w0[0] = coord_norm(space, r0)
+            jobs.append((pool.submit(mc.run_coordinate_mc, space, w0, t_end, 1e-3, 10_000, seed=509, workers=1),
+                         pool.submit(mc.run_radial_mc, space, r0, t_end, 1e-3, 50_000, seed=510,
+                                     want_winding=True, workers=1)))
+        runs = [(line.result(), ref.result()) for line, ref in jobs]
     details = []
     passed = True
-    for space, r0 in cases:
-        w0 = np.zeros(8)
-        w0[0] = coord_norm(space, r0)
-        line = mc.run_coordinate_mc(space, w0, t_end, 1e-3, 10_000, seed=509)
-        ref = mc.run_radial_mc(space, r0, t_end, 1e-3, 50_000, seed=510, want_winding=True)
+    for (space, _), (line, ref) in zip(cases, runs):
         ks = [ks_2samp(line.zeta[:, i], ref.zeta[:, i]).statistic for i in range(7)]
         ks.append(ks_2samp(np.linalg.norm(line.zeta, axis=1),
                            np.linalg.norm(ref.zeta, axis=1)).statistic)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from octowind import cli, geometry, mc, specfun
+from octowind import cli, engine, geometry, mc, specfun
 from octowind.errors import ConfigError, QuadratureError
 from octowind.geometry import ModelSpace
 
@@ -152,6 +152,28 @@ def test_simulate_coordinate_csv(tmp_path):
     data = np.loadtxt(out, delimiter=",", skiprows=2)
     assert data.shape == (51, 16)
     assert np.all(data[0, 9:] == 0.0)  # winding starts at zero
+
+
+@pytest.mark.parametrize("argv,request_", [
+    (["--space", "hyperbolic", "--t", "0.2", "--r0", "0.8", "--seed", "12"],
+     engine.SimConfig(ModelSpace.HYPERBOLIC, 0.2, r0=0.8, seed=12)),
+    (["--space", "projective", "--t", "0.1", "--dt", "0.002", "--w0", "0.5,0,0.1,0,0,0,0,0", "--scheme",
+      "euler_maruyama", "--seed", "13"],
+     engine.SimConfig(ModelSpace.PROJECTIVE, 0.1, dt=0.002, w0=np.array([0.5, 0, 0.1, 0, 0, 0, 0, 0]),
+                      scheme="euler_maruyama", seed=13)),
+], ids=["radial", "coordinate"])
+def test_simulate_writes_the_rows_of_the_engine(tmp_path, capsys, argv, request_):
+    # simulate hands its validated config to the engine, which reads the same fields as from a SimConfig.
+    out = tmp_path / "s.csv"
+    assert _run(["simulate", *argv, "--out", str(out)]) == 0
+    if request_.w0 is None:
+        path = engine.simulate_radial(request_)
+        want = [[path["time"][i], path["r"][i], path["clock"][i]] for i in range(path.size)]
+    else:
+        path = engine.simulate_coordinate(request_)
+        want = [[t, *w, *z] for t, w, z in zip(path["time"], path["w"], path["zeta"])]
+    assert len(want) > 50
+    assert out.read_text().splitlines()[2:] == [",".join(repr(float(v)) for v in row) for row in want]
 
 
 def test_simulate_coordinate_past_the_switch(tmp_path, capsys):

@@ -602,6 +602,11 @@ def test_log_time_grid():
     for t_end in (T_INIT, 1e-5, math.inf, math.nan):
         with pytest.raises(DomainError):
             log_time_grid(t_end)
+    # Up to T_GRID_MAX, past which t_end / T_INIT (and so the point count) overflows.
+    assert engine.T_GRID_MAX == sys.float_info.max * T_INIT
+    g = log_time_grid(engine.T_GRID_MAX)
+    assert g[-1] == engine.T_GRID_MAX and np.all(np.diff(g) > 0)
+    assert len(log_time_grid(1e8)) == 1 + 1537  # 0, then 12 decades at PER_DECADE: criterion 3's grid
 
 
 def test_flat_exact_batch_mean_squared_radius():
@@ -623,23 +628,33 @@ def test_flat_exact_batch_validation():
             simulate_flat_exact_batch(rho, np.array([0.0, 1.0]), 10, rng)
     with pytest.raises(DomainError, match="rho = 1e[+]200 violates"):
         mc.run_flat_exact_mc(1e200, 1.0, 10, workers=1)
+    # A horizon past T_GRID_MAX would overflow the grid's point count; the refusal names the bound.
+    for call in (lambda: log_time_grid(1e307), lambda: mc.run_flat_exact_mc(1.0, 1e307, 10, workers=1)):
+        with pytest.raises(DomainError, match=r"t_end <= 1\.798e\+304"):
+            call()
+    # A long first step overflows the first trapezoid 0.5 dt_0 (1 / rho**2 + 1 / x_1) of a tiny rho.
+    with pytest.raises(DomainError, match=r"rho = 2e-154 violates 1\.492e-153 <= rho"):
+        simulate_flat_exact_batch(2e-154, np.array([0.0, 100.0]), 5, rng)
     for times in ([0.5, 1.0], [0.0, 1.0, 1.0], [0.0], [0.0, math.nan], [0.0, 1.0, math.inf]):
         with pytest.raises(DomainError, match="times"):
             simulate_flat_exact_batch(1.0, np.array(times), 10, rng)
 
 
 def test_flat_exact_batch_runs_at_the_ends_of_its_range():
-    # Under the suite's warning filter an overflow or a division by zero would raise.
-    times = log_time_grid(1e4)
-    lo = math.sqrt(sys.float_info.min)
-    hi = math.sqrt(sys.float_info.max / 4 * np.diff(times).min())
-    for rho in (lo, hi):
-        r, clock = simulate_flat_exact_batch(rho, times, 50, make_rng(63))
-        assert np.all(np.isfinite(r)) and np.all(np.isfinite(clock)) and np.all(clock > 0)
-    with pytest.raises(DomainError):
-        simulate_flat_exact_batch(np.nextafter(hi, math.inf), times, 50, make_rng(63))
-    with pytest.raises(DomainError):
-        simulate_flat_exact_batch(np.nextafter(lo, 0.0), times, 50, make_rng(63))
+    # Under the suite's warning filter an overflow or a division by zero would raise.  On log_time_grid
+    # the lower end is sqrt(smallest normal); a long first step raises it so the first trapezoid fits.
+    for times in (log_time_grid(1e4), np.array([0.0, 100.0, 200.0])):
+        steps = np.diff(times)
+        lo = math.sqrt(max(sys.float_info.min, steps[0] / (sys.float_info.max / 4)))
+        hi = math.sqrt(sys.float_info.max / 4 * min(1.0, steps.min()))
+        assert (lo == math.sqrt(sys.float_info.min)) == (steps[0] == T_INIT)
+        for rho in (lo, hi):
+            r, clock = simulate_flat_exact_batch(rho, times, 50, make_rng(63))
+            assert np.all(np.isfinite(r)) and np.all(np.isfinite(clock)) and np.all(clock > 0)
+        with pytest.raises(DomainError):
+            simulate_flat_exact_batch(np.nextafter(hi, math.inf), times, 50, make_rng(63))
+        with pytest.raises(DomainError):
+            simulate_flat_exact_batch(np.nextafter(lo, 0.0), times, 50, make_rng(63))
 
 
 def test_flat_exact_batch_keeps_the_bits_of_the_plain_loop():

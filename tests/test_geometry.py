@@ -1,6 +1,7 @@
 """Radial drifts, clocks and coordinate charts of the three model spaces."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -87,6 +88,48 @@ def test_drift_and_clock_match_mpmath(space):
         for values, exact in zip((drift, clock), _MP_LAW[space]):
             want = np.array([float(exact(mpmath.mpf(float(x)))) for x in r])
             assert np.max(np.abs(values - want) / np.abs(want)) <= 1e-15
+
+
+def _two_branch_flat_rate(r):
+    """The flat clock rate as a two-branch law: (1 / r)^2 for a batch that reaches r = 1e154, else 1 / (r * r)."""
+    return (1.0 / r) ** 2 if not r.max(initial=0.0) < 1e154 else 1.0 / (r * r)
+
+
+def _two_branch_hyperbolic_rate(r):
+    """The hyperbolic clock rate as a two-branch law: 0 from r = 177.5 on, else 4 / sinh^2(2r)."""
+    if not r.max(initial=0.0) < 177.5:
+        r = np.where(r >= 177.5, np.inf, r)
+    return 4.0 / np.sinh(2.0 * r) ** 2
+
+
+_CLAMPED = [(ModelSpace.FLAT, 1e154, _two_branch_flat_rate),
+            (ModelSpace.HYPERBOLIC, 177.5, _two_branch_hyperbolic_rate)]
+
+
+@pytest.mark.parametrize("space,clamp,two_branch", _CLAMPED)
+def test_clamped_clock_keeps_the_bits_of_the_two_branch_law(space, clamp, two_branch):
+    # Below the clamp one clamped expression gives the two-branch law's rates bit for bit, on a
+    # batch and on a scalar (where a NumPy scalar's ** 2 would call pow and can differ by 1 ulp).
+    r = np.concatenate([np.geomspace(1e-8, np.nextafter(clamp, 0.0), 100_001),
+                        np.random.default_rng(5).uniform(0.0, clamp, 100_000)[1:]])
+    law = space.spec.radial(None)[0]
+    assert np.array_equal(law(r)[1], two_branch(r))
+    scalars = [x for x in (*r[::1000], 7.744617978025113e101) if x < clamp]  # pow's square of 7.74e101 is 1 ulp off
+    assert all(clock_rate(space, x) == two_branch(np.array(x)) for x in scalars)
+
+
+@pytest.mark.parametrize("space,clamp", [(space, clamp) for space, clamp, _ in _CLAMPED])
+def test_clamped_clock_holds_its_rate_past_the_clamp(space, clamp):
+    law = space.spec.radial(None)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rates = law(np.array([clamp, np.nextafter(clamp, math.inf), 2.0 * clamp, 1e300, math.inf]))[1]
+        drift_nan, rate_nan = law(np.array([math.nan]))
+        drift_float, rate_float = law(2.0)
+    assert np.all(np.isfinite(rates)) and np.all(rates > 0) and np.all(rates <= 1e-307)
+    assert np.all(rates == rates[0])  # held at its value at the clamp
+    assert np.isnan(drift_nan[0]) and np.isnan(rate_nan[0])
+    assert (drift_float, rate_float) == (_drift(space, 2.0), clock_rate(space, 2.0))
 
 
 @pytest.mark.parametrize("space", SPACES)
