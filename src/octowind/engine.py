@@ -152,8 +152,16 @@ def simulate_radial(cfg) -> np.ndarray:
                        dtype=[("time", float), ("r", float), ("clock", float)])
 
 
-def simulate_radial_batch(space: ModelSpace, r0: float, t_end: float, dt: float, n_paths: int,
-                          rng: np.random.Generator, tilt=None, stop_rate_tol: Optional[float] = None):
+def simulate_radial_batch(
+    space: ModelSpace,
+    r0: float,
+    t_end: float,
+    dt: float,
+    n_paths: int,
+    rng: np.random.Generator,
+    tilt=None,
+    stop_rate_tol: Optional[float] = None,
+):
     """Vectorized radial endpoints: returns (r_end, clock_end, t_reached).
 
     ``tilt`` is the drift parameter mu (flat) or the pair (a_hat, b_hat)
@@ -296,8 +304,15 @@ def _coordinate_states(space: ModelSpace, w0: np.ndarray, t_end: float, dt: floa
         zeta[sw_idx[order]] += sample_windings_timechange(sw[3, order], rng)
 
 
-def simulate_coordinate_batch(space: ModelSpace, w0: np.ndarray, t_end: float, dt: float, n_paths: int,
-                              rng: np.random.Generator, scheme: str = STRATONOVICH_HEUN):
+def simulate_coordinate_batch(
+    space: ModelSpace,
+    w0: np.ndarray,
+    t_end: float,
+    dt: float,
+    n_paths: int,
+    rng: np.random.Generator,
+    scheme: str = STRATONOVICH_HEUN,
+):
     """Vectorized line-integral windings: returns (zeta, n_switched).
 
     Paths that meet the switch rule (:func:`_leaves_chart`) switch to the

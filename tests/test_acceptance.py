@@ -9,6 +9,7 @@ errors.
 import math
 import multiprocessing
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 
@@ -216,9 +217,11 @@ def test_criterion_7_skew_product_equivalence(monkeypatch):
     # cores at once, each with one worker; block i draws from stream (seed, i) whatever the worker count.
     # The processes are spawned with one BLAS thread each, since forked ones keep the BLAS threads of this
     # one and those spin against each other; the one BLAS product, octonion._ETA @ x, is exact either way.
+    # A spawned process starts with the default warning filters, so each turns warnings into errors again.
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     with ProcessPoolExecutor(max_workers=min(6, len(os.sched_getaffinity(0))),
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
+                             mp_context=multiprocessing.get_context("spawn"),
+                             initializer=warnings.simplefilter, initargs=("error",)) as pool:
         jobs = []
         for space, r0 in cases:
             w0 = np.zeros(8)
