@@ -125,7 +125,8 @@ def _radial_states(space: ModelSpace, r0: float, t_end: float, dt: float, n_path
                    rng: np.random.Generator, tilt=None, stop_rate_tol: Optional[float] = None):
     """The radial batch kernel: yields (t, r, clock) at t = 0 and after every
     step.  The clock is accumulated by the trapezoidal rule, in place."""
-    _require(sim_problems(space, t_end, dt, r0=r0))
+    empty = [] if stop_rate_tol is None or n_paths >= 1 else [f"stop_rate_tol needs n_paths >= 1, not {n_paths}"]
+    _require(sim_problems(space, t_end, dt, r0=r0) + empty)
     law, implicit_root = space.spec.radial(tilt)
     hi_guard = space.spec.r_hi - R_MIN
     r = np.full(n_paths, float(r0))

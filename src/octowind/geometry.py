@@ -86,13 +86,13 @@ class SpaceSpec:
         return sig, ((7.0 if stratonovich else 6.0) * self.drift_sign) * sig
 
 
-def _bisect(law, target, dt, hi):
-    """Root of x - b(x) dt = target in (1e-14, hi), b the drift of ``law``;
+def _bisect(drift, target, dt, hi):
+    """Root of x - b(x) dt = target in (1e-14, hi), b = ``drift``;
     the drifts decrease strictly in x, so the root is unique."""
     lo = np.full_like(target, 1e-14)
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        neg = mid - law(mid)[0] * dt - target < 0
+        neg = mid - drift(mid) * dt - target < 0
         lo = np.where(neg, mid, lo)
         hi = np.where(neg, hi, mid)
     return 0.5 * (lo + hi)
@@ -119,7 +119,8 @@ def _projective_radial(tilt):
         # 4 / sin^2(2r) = 4 (1 + cot^2 2r): one tan serves the drift and the clock.
         tn = np.tan(2.0 * r)
         return 7.0 / tn, 4.0 + 4.0 / tn ** 2
-    return law, lambda target, dt: _bisect(law, target, dt, np.full_like(target, math.pi / 2 - 1e-14))
+    # The drift alone would cost the same tan, so the solve reads the law's first field.
+    return law, lambda target, dt: _bisect(lambda x: law(x)[0], target, dt, np.full_like(target, math.pi / 2 - 1e-14))
 
 
 def _hyperbolic_radial(tilt):
@@ -127,14 +128,17 @@ def _hyperbolic_radial(tilt):
     a_hat, b_hat = (0.0, 0.0) if tilt is None else tilt
     p, q = float(a_hat) + 3.5, float(b_hat) + 3.5
 
-    def law(r):
+    def drift(r):
         th = np.tanh(r)
+        return p / th + q * th
+
+    def law(r):
         # Past r = 177.5, where sinh(2r)^2 nears overflow, the rate is held at ~7.2e-308.
-        return p / th + q * th, 4.0 / np.sinh(2.0 * np.minimum(r, 177.5)) ** 2
+        return drift(r), 4.0 / np.sinh(2.0 * np.minimum(r, 177.5)) ** 2
 
     # For x >= 1, |b(x)| <= |p| / tanh 1 + |q|, so x - b(x) dt - target > 0 at this hi.
     b_max = abs(p) / math.tanh(1.0) + abs(q)
-    return law, lambda target, dt: _bisect(law, target, dt, np.maximum(target, 0.0) + 1.0 + dt * b_max)
+    return law, lambda target, dt: _bisect(drift, target, dt, np.maximum(target, 0.0) + 1.0 + dt * b_max)
 
 
 # The projective chart degenerates near pi/2.  The hyperbolic one only loses
@@ -190,9 +194,21 @@ def _check_norm(space: ModelSpace, w_norm) -> np.ndarray:
     return w_norm
 
 
+def _check_coefficient_norm(space: ModelSpace, w_norm) -> np.ndarray:
+    """A norm of the chart at most 1e153: past ~5e153 the drift factor 7 (1 + |w|^2) overflows."""
+    w_norm = _check_norm(space, w_norm)
+    if not np.all(w_norm <= 1e153):
+        raise DomainError(f"the {space.value} SDE coefficients require |w| <= 1e153, past which they overflow")
+    return w_norm
+
+
 def clock_rate(space: ModelSpace, r):
-    """Integrand of the angular clock A_t = int_0^t clock_rate(r(s)) ds."""
-    return _scalar(space.spec.radial(None)[0](_check_radial(space, r))[1])
+    """Integrand of the angular clock A_t = int_0^t clock_rate(r(s)) ds, for r >= 1e-154:
+    near the origin every rate is about 1 / r^2, which overflows below that."""
+    r = _check_radial(space, r)
+    if not np.all(r >= 1e-154):
+        raise DomainError(f"clock_rate requires r >= 1e-154, below which the {space.value} rate overflows")
+    return _scalar(space.spec.radial(None)[0](r)[1])
 
 
 def coord_radius(space: ModelSpace, w_norm):
@@ -214,9 +230,9 @@ def sde_coefficients(space: ModelSpace, w_norm):
     * projective:  (-6 sec^2 r, sec^2 r) = (-6 (1 + |w|^2), 1 + |w|^2)
     * hyperbolic:  (+6 sech^2 r, sech^2 r) = (6 (1 - |w|^2), 1 - |w|^2)
 
-    evaluated at r = coord_radius(space, |w|).
+    evaluated at r = coord_radius(space, |w|), for |w| <= 1e153.
     """
-    w_norm = _check_norm(space, w_norm)
+    w_norm = _check_coefficient_norm(space, w_norm)
     sig, factor = space.spec.coefficients(w_norm * w_norm, stratonovich=False)
     return _scalar(factor), _scalar(sig)
 
@@ -227,7 +243,7 @@ def stratonovich_drift_factor(space: ModelSpace, w_norm):
     The Ito-to-Stratonovich correction for the isotropic diffusion
     sigma(|w|) I_8 is (1/2) sigma sigma'(|w|) w/|w|, which shifts the drift
     factor by -sec^2 r (projective) and +sech^2 r (hyperbolic): -7 (1 + |w|^2)
-    and 7 (1 - |w|^2).
+    and 7 (1 - |w|^2).  It takes |w| <= 1e153, as :func:`sde_coefficients` does.
     """
-    w_norm = _check_norm(space, w_norm)
+    w_norm = _check_coefficient_norm(space, w_norm)
     return _scalar(space.spec.coefficients(w_norm * w_norm, stratonovich=True)[1])

@@ -134,12 +134,11 @@ def run_coordinate_mc(
     dt: float,
     n_paths: int,
     seed: int = DEFAULT_SEED,
-    block_size: int = DEFAULT_BLOCK_SIZE,
     workers: Optional[int] = None,
 ) -> CoordinateMcResult:
     """Line-integral windings over n_paths Stratonovich-Heun coordinate trajectories."""
     kernel = partial(simulate_coordinate_batch, space, np.asarray(w0, dtype=float), t_end, dt)
-    zeta, switched = _run_blocks(kernel, n_paths, seed, block_size, workers)
+    zeta, switched = _run_blocks(kernel, n_paths, seed, DEFAULT_BLOCK_SIZE, workers)
     return CoordinateMcResult(zeta, int(switched.sum()))
 
 
@@ -149,10 +148,9 @@ def run_flat_exact_mc(
     n_paths: int,
     seed: int = DEFAULT_SEED,
     want_winding: bool = False,
-    block_size: int = DEFAULT_BLOCK_SIZE,
     workers: Optional[int] = None,
 ) -> RadialMcResult:
     """Flat radial endpoints on a logarithmic grid with exact transitions."""
     kernel = partial(simulate_flat_exact_batch, rho, log_time_grid(t_end))
-    r_end, clock, *zeta = _run_blocks(kernel, n_paths, seed, block_size, workers, want_winding)
+    r_end, clock, *zeta = _run_blocks(kernel, n_paths, seed, DEFAULT_BLOCK_SIZE, workers, want_winding)
     return RadialMcResult(ModelSpace.FLAT, t_end, seed, r_end, clock, zeta[0] if zeta else None)

@@ -25,6 +25,9 @@ LAMBDA_MAX = sys.float_info.max ** (1.0 / 3.0)
 #: is that of the AMOS routine behind it (D. E. Amos, ACM TOMS Algorithm 644, 1986).
 IVE_MAX = 2.0 ** 30 - 0.5
 
+#: Largest r0 at which cosh^6(r0) is a double.
+COSH6_R_MAX = math.acosh(sys.float_info.max ** (1.0 / 6.0))
+
 
 def order_from_lambda(lambda_norm: float) -> float:
     """Bessel order nu = sqrt(9 + |lambda|^2) attached to a frequency."""
@@ -51,7 +54,7 @@ def bessel_i(nu: float, x: float) -> float:
 
     nu = float(nu)
     x = float(x)
-    if nu < 0 or x < 0:
+    if not (nu >= 0 and x >= 0):  # NaN fails it too
         raise DomainError("bessel_i requires nu >= 0 and x >= 0")
     value = float(special.iv(nu, x))
     if not math.isfinite(value):
@@ -96,13 +99,16 @@ def flat_laplace(rho: float, t: float, lambda_norm: float) -> float:
 
 
 def flat_limit_charfn(lambda_norm: float) -> float:
-    """Limiting characteristic function of sqrt(6/log t) * zeta(t) on the flat space."""
-    return math.exp(-0.5 * float(lambda_norm) ** 2)
+    """Limiting characteristic function of sqrt(6/log t) * zeta(t) on the flat space.
+
+    It and :func:`op1_limit_charfn` are 0.0 past |lambda| = 1e154, where |lambda|^2 would overflow.
+    """
+    return math.exp(-0.5 * min(abs(float(lambda_norm)), 1e154) ** 2)
 
 
 def op1_limit_charfn(lambda_norm: float) -> float:
     """Limiting characteristic function of zeta(t)/sqrt(t) on the projective space."""
-    return math.exp(-7.0 / 3.0 * float(lambda_norm) ** 2)
+    return math.exp(-7.0 / 3.0 * min(abs(float(lambda_norm)), 1e154) ** 2)
 
 
 def oh1_limit_charfn(lambda_norm: float, r0: float) -> float:
@@ -130,9 +136,9 @@ def oh1_limit_charfn_expanded(lambda_norm: float, r0: float) -> float:
     tanh(r0)^(nu-3) / cosh^6(r0) * (cosh^6(r0) + (6 nu - 18) A), in cosh(r0)
     itself; must agree with :func:`oh1_limit_charfn` to rounding.
     """
-    r_max = math.acosh(sys.float_info.max ** (1.0 / 6.0))
-    if not 0 < r0 <= r_max:
-        raise DomainError(f"oh1_limit_charfn_expanded requires 0 < r0 <= {r_max!r}, past which cosh^6(r0) overflows")
+    if not 0 < r0 <= COSH6_R_MAX:
+        raise DomainError(f"oh1_limit_charfn_expanded requires 0 < r0 <= {COSH6_R_MAX!r}, past which cosh^6(r0) "
+                          "overflows")
     lam = float(lambda_norm)
     if not 0.0 <= lam <= LAMBDA_MAX:
         raise DomainError(f"oh1_limit_charfn_expanded requires 0 <= |lambda| <= {LAMBDA_MAX!r}, not {lam!r}")
@@ -149,8 +155,9 @@ def oh1_moment_cascade_scaled(a_hat: float, b_hat: float, r0: float, t: float):
     solution of the moment ODE cascade, stable for arbitrarily large t.
     Multiply back by e^{4t}, e^{12t}, e^{24t} for the moments themselves.
     """
-    if r0 <= 0 or t < 0:
-        raise DomainError("oh1_moment_cascade_scaled requires r0 > 0 and t >= 0")
+    if not (0 < r0 <= COSH6_R_MAX and t >= 0):  # NaN fails it too
+        raise DomainError(f"oh1_moment_cascade_scaled requires 0 < r0 <= {COSH6_R_MAX!r}, past which cosh^6(r0) "
+                          "overflows, and t >= 0")
     ch2 = math.cosh(r0) ** 2
     # cosh^2 obeys m2' = 4 m2 - (2 b_hat + 8).
     k2 = (2.0 * b_hat + 8.0) / 4.0

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -34,25 +33,15 @@ class GaussTestReport:
     passed: bool
 
 
-def _gather(result) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """(zeta (n, 7) or None, clock (n,) or None) of a batched result."""
-    zeta = result.zeta
-    clock = getattr(result, "clock_end", None)
-    if zeta is None and clock is None:
-        raise DomainError("result carries neither windings nor clock values")
-    n = len(zeta) if zeta is not None else len(clock)
-    if n == 0:
-        raise DomainError("empty result")
-    return zeta, clock
-
-
 def mc_charfn(result, lambda_norm: float) -> McEstimate:
     """Monte Carlo estimate of E[exp(i lambda . zeta)], a function of |lambda| = ``lambda_norm``.
 
     When clock values are attached, the conditional (Rao-Blackwellized)
     estimator exp(-|lambda|^2 A_t / 2) is used; otherwise cos(|lambda| zeta_1).
     """
-    zeta, clock = _gather(result)
+    zeta, clock = result.zeta, getattr(result, "clock_end", None)
+    if zeta is None and clock is None:
+        raise DomainError("result carries neither windings nor clock values")
     lam = float(lambda_norm)
     if clock is not None:
         with np.errstate(over="ignore"):  # past the double range the exponent is -inf, and the draw its limit 0
@@ -60,6 +49,8 @@ def mc_charfn(result, lambda_norm: float) -> McEstimate:
     else:
         draws = np.cos(lam * zeta[:, 0])
     n = draws.size
+    if n == 0:
+        raise DomainError("empty result")
     value = float(draws.mean())
     se = float(draws.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return McEstimate(value=value, std_error=se)
@@ -94,7 +85,7 @@ def gaussian_test(
     """
     from scipy.special import ndtr  # the standard normal CDF that scipy.stats.norm.cdf evaluates
 
-    zeta, _ = _gather(result)
+    zeta = result.zeta
     if zeta is None:
         raise DomainError("gaussian_test needs winding samples")
     if np.ndim(zeta) != 2 or np.shape(zeta)[1] != 7:

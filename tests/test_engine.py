@@ -121,7 +121,9 @@ def test_radial_start_is_checked_against_the_radial_domain_only():
     lambda: simulate_radial_batch(ModelSpace.FLAT, 1.0, 1.0, -1e-3, 5, make_rng(1)),  # no step: r0 and a zero clock
     lambda: simulate_radial_batch(ModelSpace.FLAT, 1.0, math.inf, 1e-3, 5, make_rng(1)),
     lambda: simulate_coordinate_batch(ModelSpace.FLAT, np.eye(8)[0], 0.01, 1e-3, 5, make_rng(1), scheme="rk4"),
-], ids=["radial_negative_dt", "radial_infinite_horizon", "coordinate_unknown_scheme"])
+    # The early stop reads the largest rate, which an empty batch does not have.
+    lambda: simulate_radial_batch(ModelSpace.HYPERBOLIC, 1.0, 0.01, 1e-3, 0, make_rng(1), stop_rate_tol=1e-13),
+], ids=["radial_negative_dt", "radial_infinite_horizon", "coordinate_unknown_scheme", "radial_empty_early_stop"])
 def test_batch_kernels_check_the_whole_request(call):
     with pytest.raises(DomainError):
         call()

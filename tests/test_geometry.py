@@ -2,13 +2,15 @@
 
 import math
 import warnings
+from functools import partial
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from octowind import specfun
 from octowind.errors import DomainError
 from octowind.geometry import (
     ModelSpace,
@@ -231,3 +233,30 @@ def test_array_shapes():
     for space in SPACES:
         assert _drift(space, r).shape == (2, 2)
         assert clock_rate(space, r).shape == (2, 2)
+
+
+_SCALAR_FUNCTIONS = [partial(f, space) for f in (clock_rate, coord_norm, coord_radius, sde_coefficients,
+                                                 stratonovich_drift_factor) for space in SPACES]
+_SCALAR_FUNCTIONS += [specfun.flat_limit_charfn, specfun.op1_limit_charfn]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.sampled_from(_SCALAR_FUNCTIONS), st.floats())
+# Below r = 1e-154 the clock rate overflows, and past |w| ~ 5e153 (|lambda| ~ 1.3e154) the square of the argument.
+@example(partial(clock_rate, ModelSpace.FLAT), 1e-160)
+@example(partial(clock_rate, ModelSpace.PROJECTIVE), 1e-300)
+@example(partial(clock_rate, ModelSpace.HYPERBOLIC), 1e-154)
+@example(partial(sde_coefficients, ModelSpace.FLAT), 1e200)
+@example(partial(stratonovich_drift_factor, ModelSpace.PROJECTIVE), 6e153)
+@example(specfun.flat_limit_charfn, 1.4e154)
+@example(specfun.op1_limit_charfn, -1.4e154)
+def test_scalar_functions_return_finite_values_or_refuse(f, x):
+    # Any float, NaN, an infinity or a subnormal included: a value with no warning, or a DomainError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = f(x)
+        except DomainError:
+            return
+    if math.isfinite(x):
+        assert np.all(np.isfinite(value)), (f, x, value)

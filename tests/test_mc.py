@@ -20,11 +20,16 @@ def _assert_same_arrays(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
+# The coordinate and flat exact drivers run on DEFAULT_BLOCK_SIZE, so their second block needs
+# this many paths; a few steps keep them cheap.
+TWO_BLOCKS = mc.DEFAULT_BLOCK_SIZE + 40
+
+
 def test_coordinate_mc_independent_of_worker_count():
     w0 = np.zeros(8)
     w0[0] = coord_norm(ModelSpace.PROJECTIVE, 1.4)
-    runs = [mc.run_coordinate_mc(ModelSpace.PROJECTIVE, w0, 0.05, 1e-3, 90, seed=31,
-                                 block_size=40, workers=workers) for workers in (1, 2)]
+    runs = [mc.run_coordinate_mc(ModelSpace.PROJECTIVE, w0, 0.005, 1e-3, TWO_BLOCKS, seed=31, workers=workers)
+            for workers in (1, 2)]
     _assert_same_arrays(*runs)
     assert runs[0].n_switched == runs[1].n_switched
 
@@ -36,10 +41,10 @@ def test_radial_mc_independent_of_worker_count():
 
 
 def test_flat_exact_mc_independent_of_worker_count():
-    runs = [mc.run_flat_exact_mc(1.0, 10.0, 90, seed=34, want_winding=True, block_size=40, workers=workers)
+    runs = [mc.run_flat_exact_mc(1.0, 1e-3, TWO_BLOCKS, seed=34, want_winding=True, workers=workers)
             for workers in (1, 2)]
     _assert_same_arrays(*runs)
-    assert runs[0].zeta.shape == (90, 7)
+    assert runs[0].zeta.shape == (TWO_BLOCKS, 7)
 
 
 @pytest.fixture
@@ -74,12 +79,14 @@ def test_pool_has_at_most_one_worker_per_block(pool_sizes):
 
 
 @pytest.mark.parametrize("run", [
-    lambda **kw: mc.run_radial_mc(ModelSpace.HYPERBOLIC, 1.0, 0.05, 1e-3, 80, seed=35, want_winding=True, **kw),
-    lambda **kw: mc.run_coordinate_mc(ModelSpace.PROJECTIVE, np.eye(8)[0], 0.05, 1e-3, 80, seed=36, **kw),
-    lambda **kw: mc.run_flat_exact_mc(1.0, 10.0, 80, seed=37, want_winding=True, **kw),
+    lambda workers: mc.run_radial_mc(ModelSpace.HYPERBOLIC, 1.0, 0.05, 1e-3, 80, seed=35, want_winding=True,
+                                     block_size=40, workers=workers),
+    lambda workers: mc.run_coordinate_mc(ModelSpace.PROJECTIVE, np.eye(8)[0], 0.005, 1e-3, TWO_BLOCKS, seed=36,
+                                         workers=workers),
+    lambda workers: mc.run_flat_exact_mc(1.0, 1e-3, TWO_BLOCKS, seed=37, want_winding=True, workers=workers),
 ], ids=["radial", "coordinate", "flat_exact"])
 def test_block_job_survives_pickling(pool_sizes, run):
-    _assert_same_arrays(run(block_size=40, workers=1), run(block_size=40, workers=2))
+    _assert_same_arrays(run(workers=1), run(workers=2))
     assert pool_sizes == [2]
 
 

@@ -34,6 +34,9 @@ def test_bessel_i_edge_cases():
         specfun.bessel_i(-1.0, 1.0)
     with pytest.raises(DomainError):
         specfun.bessel_i(1.0, -1.0)
+    for nu, x in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(DomainError, match="nu >= 0 and x >= 0"):
+            specfun.bessel_i(nu, x)
     # Large arguments are fine up to the double range; beyond it the value
     # overflows and must raise rather than return inf.
     assert specfun.bessel_i(3.0, 701.0) == pytest.approx(float(mpmath.besseli(3, 701)), rel=1e-12)
@@ -308,3 +311,9 @@ def test_cascade_scaled_is_finite_for_long_horizons():
         specfun.oh1_moment_cascade_scaled(a_hat, b_hat, -1.0, 1.0)
     with pytest.raises(DomainError):
         specfun.oh1_moment_cascade_scaled(a_hat, b_hat, 1.0, -1.0)
+    # Past the r0 where cosh^6(r0) overflows, or at a NaN r0 or t, it refuses.
+    assert all(math.isfinite(v) for v in specfun.oh1_moment_cascade_scaled(0.1, -6.1, specfun.COSH6_R_MAX, 1.0))
+    for r0, t in ((math.nextafter(specfun.COSH6_R_MAX, math.inf), 1.0), (119.0, 1.0), (math.inf, 1.0),
+                  (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(DomainError, match=f"0 < r0 <= {specfun.COSH6_R_MAX!r}, past which cosh"):
+            specfun.oh1_moment_cascade_scaled(0.1, -6.1, r0, t)

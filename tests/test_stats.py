@@ -45,8 +45,10 @@ def test_mc_charfn_accepts_batched_result():
 
 
 def test_mc_charfn_input_errors():
-    with pytest.raises(DomainError):
-        stats.mc_charfn(SimpleNamespace(zeta=np.zeros((0, 7)), clock_end=None), 1.0)
+    for empty in (SimpleNamespace(zeta=np.zeros((0, 7)), clock_end=None),
+                  SimpleNamespace(zeta=None, clock_end=np.zeros(0))):
+        with pytest.raises(DomainError, match="empty result"):
+            stats.mc_charfn(empty, 1.0)
 
 
 def test_gaussian_test_accepts_matching_samples(rng):
@@ -65,7 +67,7 @@ def test_gaussian_test_rejects_wrong_variance(rng):
 
 
 def test_gaussian_test_needs_windings():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="needs winding samples"):
         stats.gaussian_test(SimpleNamespace(zeta=None, clock_end=np.ones(200)), np.eye(7))
 
 
@@ -83,7 +85,7 @@ def test_gaussian_test_refuses_malformed_input(rng):
     for cov in (np.eye(6), np.eye(8), np.full((7, 7), math.nan), np.diag([1.0] * 6 + [math.inf])):
         with pytest.raises(DomainError, match="target covariance"):
             stats.gaussian_test(SimpleNamespace(zeta=zeta, clock_end=None), cov)
-    for bad in (zeta[:, :6], zeta[:, 0], zeta[:, :, None]):
+    for bad in (zeta[:, :6], zeta[:, 0], zeta[:, :, None], zeta[0, 0]):
         with pytest.raises(DomainError, match="shape"):
             stats.gaussian_test(SimpleNamespace(zeta=bad, clock_end=None), np.eye(7))
 
