@@ -12,10 +12,16 @@ The radial integrator is Euler-Maruyama with an implicit-drift substep
 whenever an explicit step would leave the open radial domain; the noise is
 additive, so the Ito and Stratonovich readings of the radial SDE coincide.
 Every per-space quantity comes from the table in :mod:`octowind.geometry`.
+
+The radial and the coordinate kernel take their per-step standard normals
+from one helper thread that draws them a chunk of steps ahead
+(:func:`_noise_steps`), so the draw overlaps the step.  Philox is counter-based, so the values and their
+order are those of one draw per step; no thread outlives a kernel call.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import sys
@@ -50,9 +56,11 @@ T_END_MAX = sys.float_info.max * R_MIN ** 2 / 2
 
 
 def sim_problems(space: ModelSpace, t_end: float, dt: float, scheme: str = STRATONOVICH_HEUN,
-                 r0=None, w0=None) -> list[str]:
+                 r0=None, w0=None, n_paths: int = 1) -> list[str]:
     """Every reason why these parameters cannot define a path simulation."""
-    problems = [] if w0 is None or np.shape(w0) == (8,) else ["w0 must have 8 components"]
+    problems = [] if n_paths >= 1 else [f"n_paths = {n_paths} violates n_paths >= 1"]
+    if w0 is not None and np.shape(w0) != (8,):
+        problems.append("w0 must have 8 components")
     if not dt > 0:
         problems.append(f"dt = {dt} violates dt > 0")
     elif not dt <= t_end <= T_END_MAX:
@@ -118,6 +126,50 @@ def _time_steps(t_end: float, dt: float):
         yield rem
 
 
+#: Bytes of standard normals in one chunk that :func:`_noise_steps` draws ahead.  On the
+#: skew-product benchmark the gain held from 512 KiB to 4 MiB and shrank at 256 KiB, while peak
+#: memory grows with the size (CHANGES.md has the measured curve).
+NOISE_CHUNK_BYTES = 1 << 20
+
+
+def _noise_steps(t_end: float, dt: float, rng: np.random.Generator, shape: tuple[int, ...]):
+    """Yields (h, normals) for each step h of :func:`_time_steps`: a block of ``shape``
+    standard normals per step, valid until the next step, with the values of one
+    ``rng.standard_normal(shape)`` call per step.
+
+    One helper thread draws them one chunk of steps ahead, with ``standard_normal(out=...)``,
+    which runs without the GIL, into two buffers allocated once.  Until the generator ends,
+    ``rng`` is the helper's.  Closed early, it joins the thread and leaves ``rng`` in the
+    state after the last block it handed out: it restores the state saved before the current
+    chunk and draws the rows already handed out again.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # loaded by the first kernel call, not on import
+
+    steps = _time_steps(t_end, dt)
+    rows = max(1, NOISE_CHUNK_BYTES // (8 * math.prod(shape)))
+    # Chunks are taken lazily: with an early stop, t_end / dt may be near sys.maxsize.
+    chunk = list(itertools.islice(steps, rows))
+    buf, spare, used = np.empty((len(chunk), *shape)), None, 0
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        pending = rng.bit_generator.state, pool.submit(rng.standard_normal, out=buf)
+        while chunk:
+            state, fill = pending
+            fill.result()
+            ahead = list(itertools.islice(steps, rows))
+            if ahead:
+                spare = np.empty_like(buf) if spare is None else spare
+                pending = rng.bit_generator.state, pool.submit(rng.standard_normal, out=spare[:len(ahead)])
+            for used, h in enumerate(chunk, 1):
+                yield h, buf[used - 1]
+            chunk, buf, spare, used = ahead, spare, buf, 0
+    finally:
+        pool.shutdown()  # waits for a fill in flight, then joins the thread
+        if used:
+            rng.bit_generator.state = state
+            rng.standard_normal(out=buf[:used])
+
+
 # ---------------------------------------------------------------------------
 # Radial simulation
 
@@ -125,8 +177,7 @@ def _radial_states(space: ModelSpace, r0: float, t_end: float, dt: float, n_path
                    rng: np.random.Generator, tilt=None, stop_rate_tol: Optional[float] = None):
     """The radial batch kernel: yields (t, r, clock) at t = 0 and after every
     step.  The clock is accumulated by the trapezoidal rule, in place."""
-    empty = [] if stop_rate_tol is None or n_paths >= 1 else [f"stop_rate_tol needs n_paths >= 1, not {n_paths}"]
-    _require(sim_problems(space, t_end, dt, r0=r0) + empty)
+    _require(sim_problems(space, t_end, dt, r0=r0, n_paths=n_paths))
     law, implicit_root = space.spec.radial(tilt)
     hi_guard = space.spec.r_hi - R_MIN
     r = np.full(n_paths, float(r0))
@@ -134,14 +185,14 @@ def _radial_states(space: ModelSpace, r0: float, t_end: float, dt: float, n_path
     clock = np.zeros(n_paths)
     t_now = 0.0
     yield t_now, r, clock
-    for h in _time_steps(t_end, dt):
-        noise = rng.standard_normal(n_paths) * math.sqrt(h)
-        t_now += h
-        r, drift, rate = _radial_step(law, implicit_root, r, drift, rate, clock, noise, h, hi_guard,
-                                      t_now)
-        yield t_now, r, clock
-        if stop_rate_tol is not None and float(rate.max()) < stop_rate_tol:
-            return
+    with contextlib.closing(_noise_steps(t_end, dt, rng, (n_paths,))) as steps:
+        for h, normals in steps:
+            t_now += h
+            r, drift, rate = _radial_step(law, implicit_root, r, drift, rate, clock, normals * math.sqrt(h), h,
+                                          hi_guard, t_now)
+            yield t_now, r, clock
+            if stop_rate_tol is not None and float(rate.max()) < stop_rate_tol:
+                return
 
 
 def simulate_radial(cfg) -> np.ndarray:
@@ -258,7 +309,7 @@ def _coordinate_states(space: ModelSpace, w0: np.ndarray, t_end: float, dt: floa
     arrays are gathered again, and the partial windings of the paths that
     leave are written to ``zeta``, only on a step where some path switches.
     """
-    _require(sim_problems(space, t_end, dt, scheme, w0=w0))
+    _require(sim_problems(space, t_end, dt, scheme, w0=w0, n_paths=n_paths))
     spec = space.spec
     law, implicit_root = spec.radial(None)
     hi_guard = spec.r_hi - R_MIN
@@ -274,31 +325,32 @@ def _coordinate_states(space: ModelSpace, w0: np.ndarray, t_end: float, dt: floa
 
     t_now = 0.0
     yield t_now, idx, w, z
-    for h in _time_steps(t_end, dt):
-        noise = rng.standard_normal((n_paths, 8))
-        sqrt_h = math.sqrt(h)
-        t_now += h
-        if idx.size:
-            active = noise if idx.size == n_paths else noise[idx]
-            w_new = _coordinate_step(spec, w, n2, np.multiply(active.T, sqrt_h, order="C"), h, scheme)
-            n2_new = _norm_sq(w_new)
-            r_new = spec.radius(np.sqrt(n2_new))
-            bad = _leaves_chart(spec, n2, r, n2_new, r_new)
-            if bad.any():
-                out = idx[bad]
-                zeta[out] = z[:, bad].T
-                r_here = np.clip(r[bad], 2.0 * R_MIN, hi_guard - R_MIN)
-                sw_idx = np.concatenate([sw_idx, out])
-                sw = np.concatenate([sw, [r_here, *law(r_here), np.zeros(out.size)]], axis=1)
-                keep = ~bad
-                idx, w, z, w_new = idx[keep], w[:, keep], z[:, keep], w_new[:, keep]
-                n2_new, r_new = n2_new[keep], r_new[keep]
+    with contextlib.closing(_noise_steps(t_end, dt, rng, (n_paths, 8))) as steps:
+        for h, noise in steps:
+            sqrt_h = math.sqrt(h)
+            t_now += h
             if idx.size:
-                z += winding_form_cols(0.5 * (w + w_new), w_new - w)
-            w, n2, r = w_new, n2_new, r_new
-        if sw_idx.size:
-            sw[:3] = _radial_step(law, implicit_root, *sw, noise[sw_idx, 0] * sqrt_h, h, hi_guard, t_now)
-        yield t_now, idx, w, z
+                active = noise if idx.size == n_paths else noise[idx]
+                w_new = _coordinate_step(spec, w, n2, np.multiply(active.T, sqrt_h, order="C"), h, scheme)
+                n2_new = _norm_sq(w_new)
+                r_new = spec.radius(np.sqrt(n2_new))
+                bad = _leaves_chart(spec, n2, r, n2_new, r_new)
+                if bad.any():
+                    out = idx[bad]
+                    zeta[out] = z[:, bad].T
+                    r_here = np.clip(r[bad], 2.0 * R_MIN, hi_guard - R_MIN)
+                    sw_idx = np.concatenate([sw_idx, out])
+                    sw = np.concatenate([sw, [r_here, *law(r_here), np.zeros(out.size)]], axis=1)
+                    keep = ~bad
+                    idx, w, z, w_new = idx[keep], w[:, keep], z[:, keep], w_new[:, keep]
+                    n2_new, r_new = n2_new[keep], r_new[keep]
+                if idx.size:
+                    z += winding_form_cols(0.5 * (w + w_new), w_new - w)
+                w, n2, r = w_new, n2_new, r_new
+            if sw_idx.size:
+                sw[:3] = _radial_step(law, implicit_root, *sw, noise[sw_idx, 0] * sqrt_h, h, hi_guard,
+                                      t_now)
+            yield t_now, idx, w, z
     zeta[idx] = z.T
     if sw_idx.size:
         order = np.argsort(sw_idx)
@@ -325,7 +377,7 @@ def simulate_coordinate_batch(
     switched path's radial step uses column 0 of its row.  One (k, 7) block
     for the k switched paths, in path order, is drawn at the end.
     """
-    zeta = np.zeros((n_paths, 7))
+    zeta = np.zeros((max(n_paths, 0), 7))  # the kernel refuses n_paths < 1 before its first step
     for _, idx, _, _ in _coordinate_states(space, np.asarray(w0, dtype=float), t_end, dt, n_paths, rng,
                                            scheme, zeta):
         pass
@@ -364,6 +416,8 @@ def simulate_flat_exact_batch(rho: float, times: np.ndarray, n_paths: int, rng: 
     double, rho must lie in [sqrt(max(m, 4 dt_0 / M)), sqrt(M / 4 * min(1, dt))];
     each factor 4 leaves room for the draw.
     """
+    if not n_paths >= 1:
+        raise DomainError(f"n_paths = {n_paths} violates n_paths >= 1")
     times = np.asarray(times, dtype=float)
     steps = np.diff(times)
     if not (steps.size and times[0] == 0.0 and np.all(steps > 0) and times[-1] < math.inf):

@@ -43,6 +43,8 @@ def mc_charfn(result, lambda_norm: float) -> McEstimate:
     if zeta is None and clock is None:
         raise DomainError("result carries neither windings nor clock values")
     lam = float(lambda_norm)
+    if not abs(lam) <= math.inf:  # NaN fails it
+        raise DomainError(f"mc_charfn requires |lambda| <= inf, not {lam!r}")
     if clock is not None:
         with np.errstate(over="ignore"):  # past the double range the exponent is -inf, and the draw its limit 0
             draws = np.exp(-0.5 * (lam * lam) * clock)

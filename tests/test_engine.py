@@ -1,9 +1,12 @@
 """Path simulation: reproducibility, domain guards, and law-level oracles."""
 
 import dataclasses
+import itertools
 import math
 import sys
+import threading
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,10 +35,17 @@ from octowind.octonion import mul_array
 
 
 class ZeroNoise:
-    """Generator stub whose Gaussian draws are identically zero."""
+    """Generator stub whose Gaussian draws are identically zero; it has a state that the
+    kernels' noise helper can save and restore."""
 
-    def standard_normal(self, size=None):
-        return np.zeros(size if size is not None else ())
+    def __init__(self):
+        self.bit_generator = SimpleNamespace(state=None)
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return np.zeros(size if size is not None else ())
+        out[...] = 0.0
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +133,11 @@ def test_radial_start_is_checked_against_the_radial_domain_only():
     lambda: simulate_coordinate_batch(ModelSpace.FLAT, np.eye(8)[0], 0.01, 1e-3, 5, make_rng(1), scheme="rk4"),
     # The early stop reads the largest rate, which an empty batch does not have.
     lambda: simulate_radial_batch(ModelSpace.HYPERBOLIC, 1.0, 0.01, 1e-3, 0, make_rng(1), stop_rate_tol=1e-13),
-], ids=["radial_negative_dt", "radial_infinite_horizon", "coordinate_unknown_scheme", "radial_empty_early_stop"])
+    lambda: simulate_radial_batch(ModelSpace.FLAT, 1.0, 0.01, 1e-3, -1, make_rng(1)),
+    lambda: simulate_coordinate_batch(ModelSpace.FLAT, np.eye(8)[0], 0.01, 1e-3, -1, make_rng(1)),
+    lambda: simulate_flat_exact_batch(1.0, np.array([0.0, 1.0]), -1, make_rng(1)),
+], ids=["radial_negative_dt", "radial_infinite_horizon", "coordinate_unknown_scheme", "radial_empty_early_stop",
+        "radial_negative_paths", "coordinate_negative_paths", "flat_exact_negative_paths"])
 def test_batch_kernels_check_the_whole_request(call):
     with pytest.raises(DomainError):
         call()
@@ -589,6 +603,114 @@ def test_single_coordinate_path_is_a_batch_of_one():
     z, k = simulate_coordinate_batch(cfg.space, cfg.w0, cfg.t_end, cfg.dt, 1, make_rng(cfg.seed))
     assert k == 0
     assert np.array_equal(path["zeta"][-1], z[0])
+
+
+# ---------------------------------------------------------------------------
+# The noise helper
+#
+# The reference hands the kernels their normals by one standard_normal call per step, on the
+# calling thread.  The helper draws them a chunk ahead on another thread; it must give the same
+# values and leave the generator where the reference does, however the kernel ends.
+
+def _per_step_noise(t_end, dt, rng, shape):
+    for h in engine._time_steps(t_end, dt):
+        yield h, rng.standard_normal(shape)
+
+
+def _chunk_rows(shape):
+    return engine.NOISE_CHUNK_BYTES // (8 * math.prod(shape))
+
+
+def _radial_with_remainder(rng):
+    # 5001 steps, the last one half a step, over three chunks of 2048 rows.
+    assert _chunk_rows((64,)) == 2048
+    return simulate_radial_batch(ModelSpace.FLAT, 1.0, 5.0005, 1e-3, 64, rng)
+
+
+def _radial_shorter_than_a_chunk(rng):
+    assert _chunk_rows((500,)) > 50
+    return simulate_radial_batch(ModelSpace.PROJECTIVE, 0.8, 0.05, 1e-3, 500, rng)
+
+
+def _radial_early_stop(rng):
+    # Every path escapes by t = 1.42, on step 142, inside the third chunk of 65 rows.
+    r, clock, t = simulate_radial_batch(ModelSpace.HYPERBOLIC, 1.0, 50.0, 1e-2, 2000, rng, stop_rate_tol=1e-10)
+    assert 2 * _chunk_rows((2000,)) < round(t / 1e-2) < 3 * _chunk_rows((2000,))
+    return r, clock, t
+
+
+def _radial_simulation_error(rng):
+    # An implicit root that lands below R_MIN, so the first guarded step raises.
+    spec = geometry.SPACES[ModelSpace.PROJECTIVE]
+
+    def broken_radial(tilt):
+        law, _ = spec.radial(tilt)
+        return law, lambda target, dt: np.full_like(target, R_MIN / 2)
+    threads = threading.active_count()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(geometry.SPACES, ModelSpace.PROJECTIVE, dataclasses.replace(spec, radial=broken_radial))
+        with pytest.raises(SimulationError) as info:
+            simulate_radial_batch(ModelSpace.PROJECTIVE, 1.56, 1.0, 5e-2, 200, rng)
+    # The traceback keeps the kernel's frame alive, so only the kernel's own close joins the helper.
+    assert info.tb is not None and threading.active_count() == threads
+    return ()
+
+
+def _hyperbolic_coordinate(rng):
+    # Every path switches before t = 3, so the final draws run; 3000 steps over chunks of 81 rows.
+    zeta, k = simulate_coordinate_batch(ModelSpace.HYPERBOLIC, _w0(ModelSpace.HYPERBOLIC, 1.0), 3.0, 1e-3, 200,
+                                        rng)
+    assert k == 200 and _chunk_rows((200, 8)) == 81
+    return zeta, k
+
+
+@pytest.mark.parametrize("run", [_radial_with_remainder, _radial_shorter_than_a_chunk, _radial_early_stop,
+                                 _radial_simulation_error, _hyperbolic_coordinate])
+def test_noise_helper_keeps_the_bits_of_one_draw_per_step_and_joins_its_thread(monkeypatch, run):
+    threads = threading.active_count()
+    got_rng, want_rng = make_rng(91), make_rng(91)
+    got = run(got_rng)
+    assert threading.active_count() == threads
+    monkeypatch.setattr(engine, "_noise_steps", _per_step_noise)
+    want = run(want_rng)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert np.array_equal(got_rng.standard_normal(7), want_rng.standard_normal(7))
+
+
+@pytest.mark.parametrize("taken", range(1, 8))
+def test_noise_helper_closed_after_any_step_leaves_the_stream_there(monkeypatch, taken):
+    # Chunks of two steps: six full steps and a half one, in four chunks.
+    monkeypatch.setattr(engine, "NOISE_CHUNK_BYTES", 2 * 3 * 8)
+    rng, ref = make_rng(92), make_rng(92)
+    steps = engine._noise_steps(0.0065, 1e-3, rng, (3,))
+    got = [(h, normals.copy()) for h, normals in itertools.islice(steps, taken)]
+    steps.close()
+    want = list(itertools.islice(_per_step_noise(0.0065, 1e-3, ref, (3,)), taken))
+    assert [h for h, _ in got] == [h for h, _ in want] and len(got) == taken
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+    assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
+
+
+def test_a_kernel_closed_after_a_few_steps_joins_its_helper():
+    threads = threading.active_count()
+    rng, ref = make_rng(4), make_rng(4)
+    states = engine._radial_states(ModelSpace.FLAT, 1.0, 1.0, 1e-3, 10, rng)
+    for _ in range(4):  # t = 0 and three steps
+        next(states)
+    assert threading.active_count() == threads + 1  # the helper that draws ahead
+    states.close()
+    assert threading.active_count() == threads
+    ref.standard_normal(30)
+    assert np.array_equal(rng.standard_normal(7), ref.standard_normal(7))
+
+
+def test_a_pool_forks_cleanly_after_an_in_process_kernel():
+    # From Python 3.12 on, a fork while another thread runs raises a DeprecationWarning, which
+    # this suite turns into an error: the kernel's helper thread must be gone before the fork.
+    simulate_radial_batch(ModelSpace.FLAT, 1.0, 0.05, 1e-3, 20, make_rng(5))
+    runs = [mc.run_radial_mc(ModelSpace.HYPERBOLIC, 1.0, 0.05, 1e-3, 80, seed=35, want_winding=True,
+                             block_size=40, workers=workers) for workers in (2, 1)]
+    assert all(np.array_equal(a, b) for a, b in zip(*(vars(run).values() for run in runs)))
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,8 @@ def test_mc_charfn_input_errors():
                   SimpleNamespace(zeta=None, clock_end=np.zeros(0))):
         with pytest.raises(DomainError, match="empty result"):
             stats.mc_charfn(empty, 1.0)
+    with pytest.raises(DomainError, match=r"\|lambda\| <= inf, not nan"):
+        stats.mc_charfn(SimpleNamespace(zeta=None, clock_end=np.array([1.0, 2.0])), math.nan)
 
 
 def test_gaussian_test_accepts_matching_samples(rng):
