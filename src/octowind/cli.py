@@ -15,6 +15,7 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -190,21 +191,11 @@ def _out_problems(path: Optional[str]) -> list[str]:
 
 def _write_csv(path: Optional[str], header: list[str], rows, config_hash: str) -> None:
     """Write the artifact to ``path``, or to stdout when there is none, one row at a time."""
-    fh = open(path, "w") if path else sys.stdout
-    try:
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(f"# config {config_hash}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
-    finally:
-        if path:
-            fh.close()
-
-
-def _fmt(v):
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return v
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------

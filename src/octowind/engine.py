@@ -42,12 +42,20 @@ SCHEMES = (EULER_MARUYAMA, STRATONOVICH_HEUN)
 DEFAULT_SEED = 20240817
 
 
+def seed_problems(seed) -> list[str]:
+    """Why ``seed`` cannot seed a stream: it must be an integer >= 0 (a NumPy one too), not a float or a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        return [f"seed = {seed!r} is not an integer"]
+    return [] if seed >= 0 else [f"seed = {seed} violates seed >= 0"]
+
+
 def make_rng(seed: int, stream: tuple[int, ...] = ()) -> np.random.Generator:
     """Counter-based generator for a (seed, stream) pair.
 
     Distinct streams are statistically independent; results assembled in
     stream order are independent of scheduling.
     """
+    _require(seed_problems(seed))
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed), spawn_key=tuple(stream))))
 
 
@@ -276,7 +284,7 @@ def _coordinate_step(spec, w: np.ndarray, norm_sq: np.ndarray, dw_noise: np.ndar
     return w + (0.5 * h) * (fw + f2 * pred) + (0.5 * (sig + sig2)) * dw_noise
 
 
-def simulate_coordinate(cfg, rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def simulate_coordinate(cfg) -> np.ndarray:
     """One coordinate trajectory with its running line-integral winding: the
     batch kernel with one path, every step kept as a row of a structured
     array with fields ``time``, ``w`` (8 values) and ``zeta`` (7 values).
@@ -288,10 +296,9 @@ def simulate_coordinate(cfg, rng: Optional[np.random.Generator] = None) -> np.nd
     N(0, A I_7) draw for the clock A accrued since, so the final winding is
     that of :func:`simulate_coordinate_batch` with one path.
     """
-    rng = make_rng(cfg.seed) if rng is None else rng
     zeta, off_chart = np.zeros((1, 7)), np.full(8, np.nan)
-    states = _coordinate_states(cfg.space, np.asarray(cfg.w0, dtype=float), cfg.t_end, cfg.dt, 1, rng,
-                                cfg.scheme, zeta)
+    states = _coordinate_states(cfg.space, np.asarray(cfg.w0, dtype=float), cfg.t_end, cfg.dt, 1,
+                                make_rng(cfg.seed), cfg.scheme, zeta)
     rows = ((t, w[:, 0], z[:, 0]) if idx.size else (t, off_chart, zeta[0]) for t, idx, w, z in states)
     path = np.fromiter(rows, dtype=[("time", float), ("w", float, 8), ("zeta", float, 7)])
     path["zeta"][-1] = zeta[0]

@@ -21,6 +21,7 @@ from .engine import (
     log_time_grid,
     make_rng,
     sample_windings_timechange,
+    seed_problems,
     simulate_coordinate_batch,
     simulate_flat_exact_batch,
     simulate_radial_batch,
@@ -50,7 +51,7 @@ def run_problems(n_paths: int, block_size: int, workers: int, seed: int) -> list
     """Every reason why these settings cannot define a block run."""
     problems = [f"{name} = {value} violates {name} >= {low}"
                 for name, value, low in (("n_paths", n_paths, 1), ("block_size", block_size, 1),
-                                         ("workers", workers, 1), ("seed", seed, 0)) if not value >= low]
+                                         ("workers", workers, 1)) if not value >= low] + seed_problems(seed)
     if n_paths > N_PATHS_MAX:
         problems.append(f"n_paths = {n_paths} violates n_paths <= {N_PATHS_MAX}")
     return problems

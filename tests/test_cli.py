@@ -189,6 +189,31 @@ def test_simulate_coordinate_past_the_switch(tmp_path, capsys):
     assert rows[first][9:] == rows[first - 1][9:] == rows[-2][9:] != rows[-1][9:]
 
 
+def _double(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(x=st.floats() | st.integers(0, 2 ** 64 - 1).map(_double))  # every double, NaN payloads too
+@example(x=5e-324)  # the smallest subnormal
+@example(x=-2.225073858507201e-308)  # the largest subnormal, negated
+@example(x=0.0)
+@example(x=-0.0)
+@example(x=math.inf)
+@example(x=-math.inf)
+@example(x=math.nan)
+@example(x=1e-4)
+@example(x=9.999999999999999e-05)  # the last double written without, and the first with, an exponent
+@example(x=9999999999999998.0)
+@example(x=1e16)  # the same switch at the large end
+def test_a_float_cell_is_written_as_the_repr_of_its_double(x):
+    # The artifacts hand their np.float64 cells to csv.writer unconverted, so each
+    # must come out as a float's does: the shortest text that reads back the same double.
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow([np.float64(x)])
+    assert out.getvalue() == repr(float(x)) + "\n"
+
+
 def test_charfn_flat_matches_quadrature(tmp_path, capsys):
     out = tmp_path / "cf.csv"
     argv = ["charfn", "--space", "flat", "--t", "1.0", "--dt", "0.01",

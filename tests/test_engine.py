@@ -3,10 +3,10 @@
 import dataclasses
 import itertools
 import math
+import re
 import sys
 import threading
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,18 +34,13 @@ from octowind.geometry import R_MIN, ModelSpace
 from octowind.octonion import mul_array
 
 
-class ZeroNoise:
-    """Generator stub whose Gaussian draws are identically zero; it has a state that the
-    kernels' noise helper can save and restore."""
-
-    def __init__(self):
-        self.bit_generator = SimpleNamespace(state=None)
-
-    def standard_normal(self, size=None, out=None):
-        if out is None:
-            return np.zeros(size if size is not None else ())
-        out[...] = 0.0
-        return out
+@pytest.fixture
+def zero_noise(monkeypatch):
+    """The kernels' noise helper hands out identically zero normals, one block per step."""
+    def zero_steps(t_end, dt, rng, shape):
+        for h in engine._time_steps(t_end, dt):
+            yield h, np.zeros(shape)
+    monkeypatch.setattr(engine, "_noise_steps", zero_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +54,12 @@ def test_make_rng_deterministic_streams():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, math.nan, math.inf, -math.inf, "7", True, None, -1])
+def test_make_rng_refuses_a_seed_that_is_not_an_integer_at_least_0(seed):
+    with pytest.raises(DomainError, match=f"^seed = {re.escape(repr(seed))} "):
+        make_rng(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +386,9 @@ def _w0(space, r0):
     return w
 
 
-def test_coordinate_zero_noise_flat():
+def test_coordinate_zero_noise_flat(zero_noise):
     cfg = SimConfig(space=ModelSpace.FLAT, t_end=1.0, dt=1e-2, w0=_w0(ModelSpace.FLAT, 1.0))
-    path = simulate_coordinate(cfg, rng=ZeroNoise())
+    path = simulate_coordinate(cfg)
     assert np.allclose(path["w"][-1], path["w"][0])
     assert np.allclose(path["zeta"][-1], 0.0)
 
@@ -396,14 +397,14 @@ def test_coordinate_zero_noise_flat():
     "scheme,rate",
     [(EULER_MARUYAMA, 6.0), (STRATONOVICH_HEUN, 7.0)],
 )
-def test_coordinate_zero_noise_projective_ode(scheme, rate):
+def test_coordinate_zero_noise_projective_ode(zero_noise, scheme, rate):
     # With the noise switched off the radius solves dr/dt = -c tan r, i.e.
     # sin r(t) = sin r0 * exp(-c t), with c = 6 for the Ito drift and 7 for
     # the Stratonovich drift.  This separates the two schemes sharply.
     r0, t_end = 0.8, 0.2
     cfg = SimConfig(space=ModelSpace.PROJECTIVE, t_end=t_end, dt=1e-4,
                     w0=_w0(ModelSpace.PROJECTIVE, r0), scheme=scheme)
-    path = simulate_coordinate(cfg, rng=ZeroNoise())
+    path = simulate_coordinate(cfg)
     r_end = math.atan(float(np.linalg.norm(path["w"][-1])))
     assert math.sin(r_end) == pytest.approx(math.sin(r0) * math.exp(-rate * t_end), rel=2e-3)
 
@@ -412,17 +413,17 @@ def test_coordinate_zero_noise_projective_ode(scheme, rate):
     "scheme,rate",
     [(EULER_MARUYAMA, 6.0), (STRATONOVICH_HEUN, 7.0)],
 )
-def test_coordinate_zero_noise_hyperbolic_ode(scheme, rate):
+def test_coordinate_zero_noise_hyperbolic_ode(zero_noise, scheme, rate):
     # Same idea outward: sinh r(t) = sinh r0 * exp(+c t).
     r0, t_end = 0.5, 0.2
     cfg = SimConfig(space=ModelSpace.HYPERBOLIC, t_end=t_end, dt=1e-4,
                     w0=_w0(ModelSpace.HYPERBOLIC, r0), scheme=scheme)
-    path = simulate_coordinate(cfg, rng=ZeroNoise())
+    path = simulate_coordinate(cfg)
     r_end = math.atanh(float(np.linalg.norm(path["w"][-1])))
     assert math.sinh(r_end) == pytest.approx(math.sinh(r0) * math.exp(rate * t_end), rel=2e-3)
 
 
-def test_coordinate_zero_noise_first_order_convergence():
+def test_coordinate_zero_noise_first_order_convergence(zero_noise):
     # Halving dt should roughly halve the deterministic integration error.
     r0, t_end = 0.8, 0.2
     exact = math.sin(r0) * math.exp(-6.0 * t_end)
@@ -430,7 +431,7 @@ def test_coordinate_zero_noise_first_order_convergence():
     def err(dt):
         cfg = SimConfig(space=ModelSpace.PROJECTIVE, t_end=t_end, dt=dt,
                         w0=_w0(ModelSpace.PROJECTIVE, r0), scheme=EULER_MARUYAMA)
-        path = simulate_coordinate(cfg, rng=ZeroNoise())
+        path = simulate_coordinate(cfg)
         r_end = math.atan(float(np.linalg.norm(path["w"][-1])))
         return abs(math.sin(r_end) - exact)
 

@@ -105,12 +105,36 @@ def test_projective_tilt_is_refused():
     ({"n_paths": 10 ** 27}, "n_paths"),
     ({"n_paths": 10 ** 19, "block_size": 10 ** 19}, "n_paths"),
     ({"n_paths": mc.N_PATHS_MAX + 1, "block_size": 10 ** 19}, "n_paths"),
+    # A seed that is not an integer is refused, not truncated to the stream of int(seed).
+    ({"seed": 1.5}, "seed"),
+    ({"seed": 1.9}, "seed"),
+    ({"seed": 1.0}, "seed"),
+    ({"seed": float("nan")}, "seed"),
+    ({"seed": float("inf")}, "seed"),
+    ({"seed": -float("inf")}, "seed"),
+    ({"seed": np.float64(2.0)}, "seed"),
+    ({"seed": "1"}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"seed": np.int64(-1)}, "seed"),
 ])
 def test_block_run_settings_are_checked(settings, named):
     args = {"n_paths": 10, "block_size": 5, "workers": 1, "seed": 1, **settings}
     bound = f"<= {mc.N_PATHS_MAX}$" if args["n_paths"] > mc.N_PATHS_MAX else ">= "
-    with pytest.raises(DomainError, match=f"{named} = -?[0-9]+ violates {named} {bound}"):
+    value = args[named]
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        pattern = re.escape(f"{named} = {value!r} is not an integer")
+    else:
+        pattern = f"{named} = -?[0-9]+ violates {named} {bound}"
+    with pytest.raises(DomainError, match=pattern):
         mc.run_radial_mc(ModelSpace.FLAT, 1.0, 0.01, 1e-3, **args)
+
+
+@pytest.mark.parametrize("seed", [1, np.int64(1), np.uint32(1), np.int8(1)])
+def test_every_integer_seed_keeps_its_stream(seed):
+    # The same bits as the plain int seed, which the drivers always took.
+    want = mc.run_radial_mc(ModelSpace.FLAT, 1.0, 0.01, 1e-3, 50, seed=1, workers=1)
+    got = mc.run_radial_mc(ModelSpace.FLAT, 1.0, 0.01, 1e-3, 50, seed=seed, workers=1)
+    assert np.array_equal(got.clock_end, want.clock_end) and np.array_equal(got.r_end, want.r_end)
 
 
 @pytest.mark.parametrize("landing", [R_MIN / 2, np.nan])
