@@ -42,11 +42,11 @@ SCHEMES = (EULER_MARUYAMA, STRATONOVICH_HEUN)
 DEFAULT_SEED = 20240817
 
 
-def seed_problems(seed) -> list[str]:
-    """Why ``seed`` cannot seed a stream: it must be an integer >= 0 (a NumPy one too), not a float or a bool."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        return [f"seed = {seed!r} is not an integer"]
-    return [] if seed >= 0 else [f"seed = {seed} violates seed >= 0"]
+def count_problems(name: str, value, low: int) -> list[str]:
+    """Why ``value`` cannot be the count ``name``: an integer >= low (a NumPy one too), not a float or a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        return [f"{name} = {value!r} is not an integer"]
+    return [] if value >= low else [f"{name} = {value} violates {name} >= {low}"]
 
 
 def make_rng(seed: int, stream: tuple[int, ...] = ()) -> np.random.Generator:
@@ -55,7 +55,7 @@ def make_rng(seed: int, stream: tuple[int, ...] = ()) -> np.random.Generator:
     Distinct streams are statistically independent; results assembled in
     stream order are independent of scheduling.
     """
-    _require(seed_problems(seed))
+    _require(count_problems("seed", seed, 0))
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed), spawn_key=tuple(stream))))
 
 
@@ -66,7 +66,7 @@ T_END_MAX = sys.float_info.max * R_MIN ** 2 / 2
 def sim_problems(space: ModelSpace, t_end: float, dt: float, scheme: str = STRATONOVICH_HEUN,
                  r0=None, w0=None, n_paths: int = 1) -> list[str]:
     """Every reason why these parameters cannot define a path simulation."""
-    problems = [] if n_paths >= 1 else [f"n_paths = {n_paths} violates n_paths >= 1"]
+    problems = count_problems("n_paths", n_paths, 1)
     if w0 is not None and np.shape(w0) != (8,):
         problems.append("w0 must have 8 components")
     if not dt > 0:
@@ -338,6 +338,7 @@ def _coordinate_states(space: ModelSpace, w0: np.ndarray, t_end: float, dt: floa
             t_now += h
             if idx.size:
                 active = noise if idx.size == n_paths else noise[idx]
+                # C order: _norm_sq and winding_form_cols are einsums summing in memory order; F order moves zeta.
                 w_new = _coordinate_step(spec, w, n2, np.multiply(active.T, sqrt_h, order="C"), h, scheme)
                 n2_new = _norm_sq(w_new)
                 r_new = spec.radius(np.sqrt(n2_new))
@@ -384,9 +385,10 @@ def simulate_coordinate_batch(
     switched path's radial step uses column 0 of its row.  One (k, 7) block
     for the k switched paths, in path order, is drawn at the end.
     """
-    zeta = np.zeros((max(n_paths, 0), 7))  # the kernel refuses n_paths < 1 before its first step
-    for _, idx, _, _ in _coordinate_states(space, np.asarray(w0, dtype=float), t_end, dt, n_paths, rng,
-                                           scheme, zeta):
+    w0 = np.asarray(w0, dtype=float)
+    _require(sim_problems(space, t_end, dt, scheme, w0=w0, n_paths=n_paths))  # before n_paths sizes zeta
+    zeta = np.zeros((n_paths, 7))
+    for _, idx, _, _ in _coordinate_states(space, w0, t_end, dt, n_paths, rng, scheme, zeta):
         pass
     return zeta, n_paths - idx.size
 
@@ -423,8 +425,7 @@ def simulate_flat_exact_batch(rho: float, times: np.ndarray, n_paths: int, rng: 
     double, rho must lie in [sqrt(max(m, 4 dt_0 / M)), sqrt(M / 4 * min(1, dt))];
     each factor 4 leaves room for the draw.
     """
-    if not n_paths >= 1:
-        raise DomainError(f"n_paths = {n_paths} violates n_paths >= 1")
+    _require(count_problems("n_paths", n_paths, 1))
     times = np.asarray(times, dtype=float)
     steps = np.diff(times)
     if not (steps.size and times[0] == 0.0 and np.all(steps > 0) and times[-1] < math.inf):

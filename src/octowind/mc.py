@@ -18,10 +18,10 @@ import numpy as np
 
 from .engine import (
     DEFAULT_SEED,
+    count_problems,
     log_time_grid,
     make_rng,
     sample_windings_timechange,
-    seed_problems,
     simulate_coordinate_batch,
     simulate_flat_exact_batch,
     simulate_radial_batch,
@@ -49,10 +49,9 @@ N_PATHS_MAX = sys.maxsize // 64
 
 def run_problems(n_paths: int, block_size: int, workers: int, seed: int) -> list[str]:
     """Every reason why these settings cannot define a block run."""
-    problems = [f"{name} = {value} violates {name} >= {low}"
-                for name, value, low in (("n_paths", n_paths, 1), ("block_size", block_size, 1),
-                                         ("workers", workers, 1)) if not value >= low] + seed_problems(seed)
-    if n_paths > N_PATHS_MAX:
+    counts = (("n_paths", n_paths, 1), ("block_size", block_size, 1), ("workers", workers, 1), ("seed", seed, 0))
+    problems = [p for name, value, low in counts for p in count_problems(name, value, low)]
+    if not count_problems("n_paths", n_paths, 1) and n_paths > N_PATHS_MAX:  # only an integer meets the ceiling
         problems.append(f"n_paths = {n_paths} violates n_paths <= {N_PATHS_MAX}")
     return problems
 
@@ -75,8 +74,7 @@ def _run_blocks(kernel, n_paths, seed, block_size, workers, want_winding=False):
     second field, the clock, on the same stream; they come last.
     """
     workers = default_workers() if workers is None else workers
-    problems = run_problems(n_paths, block_size, workers, seed)
-    if problems:
+    if problems := run_problems(n_paths, block_size, workers, seed):
         raise DomainError("; ".join(problems))
     full, rem = divmod(n_paths, block_size)
     sizes = [block_size] * full + ([rem] if rem else [])

@@ -137,8 +137,14 @@ def test_radial_start_is_checked_against_the_radial_domain_only():
     lambda: simulate_radial_batch(ModelSpace.FLAT, 1.0, 0.01, 1e-3, -1, make_rng(1)),
     lambda: simulate_coordinate_batch(ModelSpace.FLAT, np.eye(8)[0], 0.01, 1e-3, -1, make_rng(1)),
     lambda: simulate_flat_exact_batch(1.0, np.array([0.0, 1.0]), -1, make_rng(1)),
+    # A path count must be an integer, not a whole float or a bool.
+    lambda: simulate_radial_batch(ModelSpace.FLAT, 1.0, 0.01, 1e-3, 5.0, make_rng(1)),
+    lambda: simulate_coordinate_batch(ModelSpace.FLAT, np.eye(8)[0], 0.01, 1e-3, 5.0, make_rng(1)),
+    lambda: simulate_flat_exact_batch(1.0, np.array([0.0, 1.0]), 5.0, make_rng(1)),
+    lambda: simulate_flat_exact_batch(1.0, np.array([0.0, 1.0]), True, make_rng(1)),
 ], ids=["radial_negative_dt", "radial_infinite_horizon", "coordinate_unknown_scheme", "radial_empty_early_stop",
-        "radial_negative_paths", "coordinate_negative_paths", "flat_exact_negative_paths"])
+        "radial_negative_paths", "coordinate_negative_paths", "flat_exact_negative_paths", "radial_float_paths",
+        "coordinate_float_paths", "flat_exact_float_paths", "flat_exact_bool_paths"])
 def test_batch_kernels_check_the_whole_request(call):
     with pytest.raises(DomainError):
         call()

@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from octowind import geometry, mc
 from octowind.errors import ConfigError, DomainError, SimulationError
@@ -116,6 +118,15 @@ def test_projective_tilt_is_refused():
     ({"seed": "1"}, "seed"),
     ({"seed": True}, "seed"),
     ({"seed": np.int64(-1)}, "seed"),
+    # Nor is any other count: a fraction, a whole float or a bool is not run as a number of paths or workers.
+    ({"n_paths": 10.5}, "n_paths"),
+    ({"n_paths": 10.0}, "n_paths"),
+    ({"n_paths": np.float64(10.0)}, "n_paths"),
+    ({"n_paths": True}, "n_paths"),
+    ({"block_size": 2.5}, "block_size"),
+    ({"workers": 1.5}, "workers"),
+    ({"workers": True}, "workers"),
+    ({"workers": "2"}, "workers"),
 ])
 def test_block_run_settings_are_checked(settings, named):
     args = {"n_paths": 10, "block_size": 5, "workers": 1, "seed": 1, **settings}
@@ -127,6 +138,32 @@ def test_block_run_settings_are_checked(settings, named):
         pattern = f"{named} = -?[0-9]+ violates {named} {bound}"
     with pytest.raises(DomainError, match=pattern):
         mc.run_radial_mc(ModelSpace.FLAT, 1.0, 0.01, 1e-3, **args)
+
+
+def _tagged(strategy, integer):
+    return strategy.map(lambda value: (value, integer))
+
+
+_NUMPY_INTEGERS = st.sampled_from([np.int8, np.uint16, np.int64, np.uint64]).flatmap(
+    lambda kind: st.integers(int(np.iinfo(kind).min), int(np.iinfo(kind).max)).map(kind))
+# Each setting with whether it is an integer: ints of any size and NumPy integers are; floats (NaN and the
+# infinities too), booleans, text and None are not.
+_SETTING = (_tagged(st.integers() | _NUMPY_INTEGERS, True)
+            | _tagged(st.floats() | st.booleans() | st.text(max_size=4) | st.none(), False))
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(n_paths=_SETTING, block_size=_SETTING, workers=_SETTING, seed=_SETTING)
+@example(n_paths=("10", False), block_size=(5, True), workers=(1, True), seed=(1, True))
+@example(n_paths=(mc.N_PATHS_MAX + 1, True), block_size=(10 ** 19, True), workers=(1, True), seed=(0, True))
+@example(n_paths=(np.uint64(2 ** 64 - 1), True), block_size=(1, True), workers=(1, True), seed=(0, True))
+def test_run_problems_accepts_exactly_the_integer_settings(n_paths, block_size, workers, seed):
+    # Never an exception: no problem exactly when all four are integers at their floors and n_paths fits.
+    counts = ((n_paths, 1), (block_size, 1), (workers, 1), (seed, 0))
+    problems = mc.run_problems(*(value for (value, _), _ in counts))
+    valid = all(integer and value >= low for (value, integer), low in counts) and n_paths[0] <= mc.N_PATHS_MAX
+    assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
+    assert (problems == []) == valid, problems
 
 
 @pytest.mark.parametrize("seed", [1, np.int64(1), np.uint32(1), np.int8(1)])
