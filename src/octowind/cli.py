@@ -86,7 +86,7 @@ class ExperimentConfig:
     seed: int = _key("--seed", _integer, "an integer >= 0", default=DEFAULT_SEED)
     out: Optional[str] = _key("--out", _text, "output CSV path", default=None)
     scheme: str = _key("--scheme", str, " or ".join(SCHEMES), default=STRATONOVICH_HEUN)
-    workers: int = _key("--workers", _integer, "an integer >= 1", default=1)
+    workers: Optional[int] = _key("--workers", _integer, "an integer >= 1", default=None)  # None: OCTOWIND_WORKERS or 1
     block_size: int = _key("--block-size", _integer, "an integer >= 1", default=mc.DEFAULT_BLOCK_SIZE)
 
     def config_hash(self, t_values: Optional[list[float]] = None) -> str:
@@ -122,14 +122,8 @@ def _validate(raw: dict, violations=()) -> ExperimentConfig:
             value = _convert(k.name, raw[k.name], *k.metadata["cli"][1:], violations)
             if value is not None or k.name == "r0":  # an unreadable r0 leaves no start point
                 setattr(cfg, k.name, value)
-    if "workers" not in raw:
-        try:
-            cfg.workers = mc.default_workers()
-        except ConfigError as exc:
-            violations.extend(exc.violations)
     violations += engine.sim_problems(cfg.space, cfg.t_end, cfg.dt, cfg.scheme, cfg.r0, cfg.w0)
-    violations += [v if "workers" in raw else v.replace("workers =", "OCTOWIND_WORKERS =", 1)  # name its source
-                   for v in mc.run_problems(cfg.n_paths, cfg.block_size, cfg.workers, cfg.seed)]
+    violations += mc.run_problems(cfg.n_paths, cfg.block_size, cfg.workers, cfg.seed)
     violations += _out_problems(cfg.out)
     violations += [f"lambda_norms entry {v!r} violates 0 <= |lambda| <= {specfun.LAMBDA_MAX:.4g}"
                    for v in cfg.lambda_norms if not 0 <= v <= specfun.LAMBDA_MAX]

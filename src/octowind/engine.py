@@ -67,8 +67,12 @@ def sim_problems(space: ModelSpace, t_end: float, dt: float, scheme: str = STRAT
                  r0=None, w0=None, n_paths: int = 1) -> list[str]:
     """Every reason why these parameters cannot define a path simulation."""
     problems = count_problems("n_paths", n_paths, 1)
-    if w0 is not None and np.shape(w0) != (8,):
-        problems.append("w0 must have 8 components")
+    try:
+        point = None if w0 is None else np.asarray(w0, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        point = None  # no radius to check
+    if w0 is not None and np.shape(point) != (8,):
+        problems.append("w0 must be 8 numbers")
     if not dt > 0:
         problems.append(f"dt = {dt} violates dt > 0")
     elif not dt <= t_end <= T_END_MAX:
@@ -85,7 +89,7 @@ def sim_problems(space: ModelSpace, t_end: float, dt: float, scheme: str = STRAT
         problems.append(f"scheme = {scheme!r}; expected one of {SCHEMES}")
     if r0 is None and w0 is None:
         problems.append("one of r0 or w0 is required")
-    return problems + start_problems(space, r0, w0)
+    return problems + start_problems(space, r0, point)
 
 
 def _require(problems: list[str]) -> None:
@@ -292,24 +296,21 @@ def simulate_coordinate(cfg) -> np.ndarray:
 
     A path that meets the switch rule continues on the skew-product route as
     in the batch: from the step where it switched, its ``w`` is NaN and
-    ``zeta`` holds the winding at the switch, and the last row adds the
-    N(0, A I_7) draw for the clock A accrued since, so the final winding is
-    that of :func:`simulate_coordinate_batch` with one path.
+    ``zeta`` holds the winding at the switch, and the last row, the kernel's
+    final state, includes the N(0, A I_7) draw for the clock A accrued since,
+    so the final winding is that of :func:`simulate_coordinate_batch` with one path.
     """
-    zeta, off_chart = np.zeros((1, 7)), np.full(8, np.nan)
-    states = _coordinate_states(cfg.space, np.asarray(cfg.w0, dtype=float), cfg.t_end, cfg.dt, 1,
-                                make_rng(cfg.seed), cfg.scheme, zeta)
-    rows = ((t, w[:, 0], z[:, 0]) if idx.size else (t, off_chart, zeta[0]) for t, idx, w, z in states)
-    path = np.fromiter(rows, dtype=[("time", float), ("w", float, 8), ("zeta", float, 7)])
-    path["zeta"][-1] = zeta[0]
-    return path
+    off_chart = np.full(8, np.nan)
+    states = _coordinate_states(cfg.space, cfg.w0, cfg.t_end, cfg.dt, 1, make_rng(cfg.seed), cfg.scheme)
+    rows = ((t, w[:, 0], z[:, 0]) if idx.size else (t, off_chart, zeta[0]) for t, idx, w, z, zeta in states)
+    return np.fromiter(rows, dtype=[("time", float), ("w", float, 8), ("zeta", float, 7)])
 
 
-def _coordinate_states(space: ModelSpace, w0: np.ndarray, t_end: float, dt: float, n_paths: int,
-                       rng: np.random.Generator, scheme: str, zeta: np.ndarray):
-    """The coordinate batch kernel: yields (t, idx, w, z) at t = 0 and after
-    every step, and when exhausted leaves the windings of all paths in
-    ``zeta`` (n_paths, 7).
+def _coordinate_states(space: ModelSpace, w0, t_end: float, dt: float, n_paths: int,
+                       rng: np.random.Generator, scheme: str):
+    """The coordinate batch kernel: yields (t, idx, w, z, zeta) at t = 0 and
+    after every step; the last state follows the end-of-run draws, so its
+    ``zeta`` (n_paths, 7) holds the windings of all paths.
 
     The active paths are kept compacted: column j of w (8, k), of its partial
     winding z (7, k) and of |w|^2 and r belong to path idx[j].  These
@@ -321,19 +322,19 @@ def _coordinate_states(space: ModelSpace, w0: np.ndarray, t_end: float, dt: floa
     law, implicit_root = spec.radial(None)
     hi_guard = spec.r_hi - R_MIN
     idx = np.arange(n_paths)
-    w = np.repeat(w0[:, None], n_paths, axis=1)
+    w = np.repeat(np.asarray(w0, dtype=float)[:, None], n_paths, axis=1)
     n2 = _norm_sq(w)
     r = spec.radius(np.sqrt(n2))
-    z = np.zeros((7, n_paths))
+    z, zeta = np.zeros((7, n_paths)), np.zeros((n_paths, 7))
     # Switched paths in switch order: their indices, and sw with rows radius,
     # drift and clock rate there, and the clock accrued since the switch.
     sw_idx = np.empty(0, dtype=np.intp)
     sw = np.empty((4, 0))
 
     t_now = 0.0
-    yield t_now, idx, w, z
     with contextlib.closing(_noise_steps(t_end, dt, rng, (n_paths, 8))) as steps:
         for h, noise in steps:
+            yield t_now, idx, w, z, zeta  # the state before this step; the last one follows the loop
             sqrt_h = math.sqrt(h)
             t_now += h
             if idx.size:
@@ -358,11 +359,11 @@ def _coordinate_states(space: ModelSpace, w0: np.ndarray, t_end: float, dt: floa
             if sw_idx.size:
                 sw[:3] = _radial_step(law, implicit_root, *sw, noise[sw_idx, 0] * sqrt_h, h, hi_guard,
                                       t_now)
-            yield t_now, idx, w, z
     zeta[idx] = z.T
     if sw_idx.size:
         order = np.argsort(sw_idx)
         zeta[sw_idx[order]] += sample_windings_timechange(sw[3, order], rng)
+    yield t_now, idx, w, z, zeta
 
 
 def simulate_coordinate_batch(
@@ -385,10 +386,7 @@ def simulate_coordinate_batch(
     switched path's radial step uses column 0 of its row.  One (k, 7) block
     for the k switched paths, in path order, is drawn at the end.
     """
-    w0 = np.asarray(w0, dtype=float)
-    _require(sim_problems(space, t_end, dt, scheme, w0=w0, n_paths=n_paths))  # before n_paths sizes zeta
-    zeta = np.zeros((n_paths, 7))
-    for _, idx, _, _ in _coordinate_states(space, w0, t_end, dt, n_paths, rng, scheme, zeta):
+    for _, idx, _, _, zeta in _coordinate_states(space, w0, t_end, dt, n_paths, rng, scheme):
         pass
     return zeta, n_paths - idx.size
 

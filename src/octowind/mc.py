@@ -8,6 +8,7 @@ order-independent because blocks are always concatenated by index.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 from dataclasses import dataclass
@@ -26,30 +27,30 @@ from .engine import (
     simulate_flat_exact_batch,
     simulate_radial_batch,
 )
-from .errors import ConfigError, DomainError, SimulationError
+from .errors import DomainError, SimulationError
 from .geometry import ModelSpace
 
 DEFAULT_BLOCK_SIZE = 25_000
-
-
-def default_workers() -> int:
-    """Worker count: OCTOWIND_WORKERS if set, else 1 (in-process); run_problems checks its range."""
-    env = os.environ.get("OCTOWIND_WORKERS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError([f"OCTOWIND_WORKERS = {env!r} is not an integer"]) from None
-    return 1
 
 
 #: Largest path count whose (n, 8) block of per-step normals NumPy can index.
 N_PATHS_MAX = sys.maxsize // 64
 
 
-def run_problems(n_paths: int, block_size: int, workers: int, seed: int) -> list[str]:
-    """Every reason why these settings cannot define a block run."""
-    counts = (("n_paths", n_paths, 1), ("block_size", block_size, 1), ("workers", workers, 1), ("seed", seed, 0))
+def _workers(workers: Optional[int]) -> tuple[str, object]:
+    """The worker count and the name of its source: ``workers``, or if that is None the
+    OCTOWIND_WORKERS variable (its text when that is not an integer), else 1 (in-process)."""
+    if workers is not None:
+        return "workers", workers
+    env = os.environ.get("OCTOWIND_WORKERS")
+    with contextlib.suppress(ValueError):
+        env = int(env) if env else 1
+    return "OCTOWIND_WORKERS", env
+
+
+def run_problems(n_paths: int, block_size: int, workers: Optional[int], seed: int) -> list[str]:
+    """Every reason why these settings cannot define a block run; workers None reads OCTOWIND_WORKERS."""
+    counts = (("n_paths", n_paths, 1), ("block_size", block_size, 1), (*_workers(workers), 1), ("seed", seed, 0))
     problems = [p for name, value, low in counts for p in count_problems(name, value, low)]
     if not count_problems("n_paths", n_paths, 1) and n_paths > N_PATHS_MAX:  # only an integer meets the ceiling
         problems.append(f"n_paths = {n_paths} violates n_paths <= {N_PATHS_MAX}")
@@ -73,9 +74,9 @@ def _run_blocks(kernel, n_paths, seed, block_size, workers, want_winding=False):
     With ``want_winding`` the block also draws time-change windings from its
     second field, the clock, on the same stream; they come last.
     """
-    workers = default_workers() if workers is None else workers
     if problems := run_problems(n_paths, block_size, workers, seed):
         raise DomainError("; ".join(problems))
+    workers = _workers(workers)[1]
     full, rem = divmod(n_paths, block_size)
     sizes = [block_size] * full + ([rem] if rem else [])
     block = partial(_block, kernel, seed, want_winding)
@@ -136,7 +137,7 @@ def run_coordinate_mc(
     workers: Optional[int] = None,
 ) -> CoordinateMcResult:
     """Line-integral windings over n_paths Stratonovich-Heun coordinate trajectories."""
-    kernel = partial(simulate_coordinate_batch, space, np.asarray(w0, dtype=float), t_end, dt)
+    kernel = partial(simulate_coordinate_batch, space, w0, t_end, dt)
     zeta, switched = _run_blocks(kernel, n_paths, seed, DEFAULT_BLOCK_SIZE, workers)
     return CoordinateMcResult(zeta, int(switched.sum()))
 

@@ -663,11 +663,11 @@ def test_workers_default_from_environment(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "env.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
     monkeypatch.setenv("OCTOWIND_WORKERS", "two")
     assert _run(argv + ["--out", str(tmp_path / "bad.csv")]) == 2
-    assert "OCTOWIND_WORKERS" in capsys.readouterr().err
+    assert "config error: OCTOWIND_WORKERS = 'two' is not an integer" in capsys.readouterr().err
     for env in ("0", "-3"):  # refused as --workers 0 is, naming the variable
         monkeypatch.setenv("OCTOWIND_WORKERS", env)
         assert _run(argv + ["--out", str(tmp_path / "bad.csv")]) == 2
-        assert f"config error: OCTOWIND_WORKERS = {env} violates workers >= 1" in capsys.readouterr().err
+        assert f"config error: OCTOWIND_WORKERS = {env} violates OCTOWIND_WORKERS >= 1" in capsys.readouterr().err
     assert _run(argv + ["--workers", "0", "--out", str(tmp_path / "bad.csv")]) == 2
     assert "config error: workers = 0 violates workers >= 1" in capsys.readouterr().err
     assert not (tmp_path / "bad.csv").exists()

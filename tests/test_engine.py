@@ -128,25 +128,35 @@ def test_radial_start_is_checked_against_the_radial_domain_only():
         simulate_radial_batch(ModelSpace.PROJECTIVE, math.pi / 2, 0.01, 1e-3, 5, make_rng(1))
 
 
-@pytest.mark.parametrize("call", [
-    lambda: simulate_radial_batch(ModelSpace.FLAT, 1.0, 1.0, -1e-3, 5, make_rng(1)),  # no step: r0 and a zero clock
-    lambda: simulate_radial_batch(ModelSpace.FLAT, 1.0, math.inf, 1e-3, 5, make_rng(1)),
-    lambda: simulate_coordinate_batch(ModelSpace.FLAT, np.eye(8)[0], 0.01, 1e-3, 5, make_rng(1), scheme="rk4"),
+@pytest.mark.parametrize("call, named", [
+    # No step: r0 and a zero clock.
+    (lambda: simulate_radial_batch(ModelSpace.FLAT, 1.0, 1.0, -1e-3, 5, make_rng(1)), "dt"),
+    (lambda: simulate_radial_batch(ModelSpace.FLAT, 1.0, math.inf, 1e-3, 5, make_rng(1)), "t_end"),
+    (lambda: simulate_coordinate_batch(ModelSpace.FLAT, np.eye(8)[0], 0.01, 1e-3, 5, make_rng(1), scheme="rk4"),
+     "scheme"),
     # The early stop reads the largest rate, which an empty batch does not have.
-    lambda: simulate_radial_batch(ModelSpace.HYPERBOLIC, 1.0, 0.01, 1e-3, 0, make_rng(1), stop_rate_tol=1e-13),
-    lambda: simulate_radial_batch(ModelSpace.FLAT, 1.0, 0.01, 1e-3, -1, make_rng(1)),
-    lambda: simulate_coordinate_batch(ModelSpace.FLAT, np.eye(8)[0], 0.01, 1e-3, -1, make_rng(1)),
-    lambda: simulate_flat_exact_batch(1.0, np.array([0.0, 1.0]), -1, make_rng(1)),
+    (lambda: simulate_radial_batch(ModelSpace.HYPERBOLIC, 1.0, 0.01, 1e-3, 0, make_rng(1), stop_rate_tol=1e-13),
+     "n_paths"),
+    (lambda: simulate_radial_batch(ModelSpace.FLAT, 1.0, 0.01, 1e-3, -1, make_rng(1)), "n_paths"),
+    (lambda: simulate_coordinate_batch(ModelSpace.FLAT, np.eye(8)[0], 0.01, 1e-3, -1, make_rng(1)), "n_paths"),
+    (lambda: simulate_flat_exact_batch(1.0, np.array([0.0, 1.0]), -1, make_rng(1)), "n_paths"),
     # A path count must be an integer, not a whole float or a bool.
-    lambda: simulate_radial_batch(ModelSpace.FLAT, 1.0, 0.01, 1e-3, 5.0, make_rng(1)),
-    lambda: simulate_coordinate_batch(ModelSpace.FLAT, np.eye(8)[0], 0.01, 1e-3, 5.0, make_rng(1)),
-    lambda: simulate_flat_exact_batch(1.0, np.array([0.0, 1.0]), 5.0, make_rng(1)),
-    lambda: simulate_flat_exact_batch(1.0, np.array([0.0, 1.0]), True, make_rng(1)),
+    (lambda: simulate_radial_batch(ModelSpace.FLAT, 1.0, 0.01, 1e-3, 5.0, make_rng(1)), "n_paths"),
+    (lambda: simulate_coordinate_batch(ModelSpace.FLAT, np.eye(8)[0], 0.01, 1e-3, 5.0, make_rng(1)), "n_paths"),
+    (lambda: simulate_flat_exact_batch(1.0, np.array([0.0, 1.0]), 5.0, make_rng(1)), "n_paths"),
+    (lambda: simulate_flat_exact_batch(1.0, np.array([0.0, 1.0]), True, make_rng(1)), "n_paths"),
+    # A start that is not 8 numbers, refused before the kernel converts it, by each entry to the coordinate route.
+    *[(call, "w0") for w0 in ("abc", ["a"] * 8) for call in (
+        lambda w0=w0: simulate_coordinate(SimConfig(space=ModelSpace.FLAT, t_end=0.01, w0=w0)),
+        lambda w0=w0: simulate_coordinate_batch(ModelSpace.FLAT, w0, 0.01, 1e-3, 5, make_rng(1)),
+        lambda w0=w0: mc.run_coordinate_mc(ModelSpace.FLAT, w0, 0.01, 1e-3, 5, workers=1))],
 ], ids=["radial_negative_dt", "radial_infinite_horizon", "coordinate_unknown_scheme", "radial_empty_early_stop",
         "radial_negative_paths", "coordinate_negative_paths", "flat_exact_negative_paths", "radial_float_paths",
-        "coordinate_float_paths", "flat_exact_float_paths", "flat_exact_bool_paths"])
-def test_batch_kernels_check_the_whole_request(call):
-    with pytest.raises(DomainError):
+        "coordinate_float_paths", "flat_exact_float_paths", "flat_exact_bool_paths",
+        *(f"{entry}_{kind}_w0" for kind in ("text", "text_components") for entry in ("single", "batch", "driver"))])
+def test_batch_kernels_check_the_whole_request(call, named):
+    # Each refusal names the input it refuses first.
+    with pytest.raises(DomainError, match=f"^{named} "):
         call()
 
 

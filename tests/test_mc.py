@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from octowind import geometry, mc
-from octowind.errors import ConfigError, DomainError, SimulationError
+from octowind.errors import DomainError, SimulationError
 from octowind.geometry import R_MIN, ModelSpace, coord_norm
 
 
@@ -159,8 +159,11 @@ _SETTING = (_tagged(st.integers() | _NUMPY_INTEGERS, True)
 @example(n_paths=(np.uint64(2 ** 64 - 1), True), block_size=(1, True), workers=(1, True), seed=(0, True))
 def test_run_problems_accepts_exactly_the_integer_settings(n_paths, block_size, workers, seed):
     # Never an exception: no problem exactly when all four are integers at their floors and n_paths fits.
-    counts = ((n_paths, 1), (block_size, 1), (workers, 1), (seed, 0))
-    problems = mc.run_problems(*(value for (value, _), _ in counts))
+    # workers None is OCTOWIND_WORKERS, else 1, and the variable is unset here.
+    counts = ((n_paths, 1), (block_size, 1), ((1, True) if workers[0] is None else workers, 1), (seed, 0))
+    with pytest.MonkeyPatch.context() as env:
+        env.delenv("OCTOWIND_WORKERS", raising=False)
+        problems = mc.run_problems(n_paths[0], block_size[0], workers[0], seed[0])
     valid = all(integer and value >= low for (value, integer), low in counts) and n_paths[0] <= mc.N_PATHS_MAX
     assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
     assert (problems == []) == valid, problems
@@ -195,20 +198,34 @@ def test_radial_guard_failure_names_block_path_and_time(monkeypatch, landing):
     assert float(match[3]) > 0
 
 
-def test_default_workers_reads_environment(monkeypatch):
+_DRIVERS = [
+    lambda workers: mc.run_radial_mc(ModelSpace.FLAT, 1.0, 0.01, 1e-3, 90, seed=1, block_size=30, workers=workers),
+    lambda workers: mc.run_coordinate_mc(ModelSpace.FLAT, np.eye(8)[0], 0.01, 1e-3, 20, seed=1, workers=workers),
+    lambda workers: mc.run_flat_exact_mc(1.0, 1.0, 20, seed=1, want_winding=True, workers=workers),
+]
+_DRIVER_IDS = ["radial", "coordinate", "flat_exact"]
+
+
+@pytest.mark.parametrize("run", _DRIVERS, ids=_DRIVER_IDS)
+def test_worker_variable_sets_the_default(monkeypatch, run):
+    # Unset, the default is one in-process worker; set, it is the count, which leaves the bits as they are.
+    want = run(1)
     monkeypatch.delenv("OCTOWIND_WORKERS", raising=False)
-    assert mc.default_workers() == 1
+    _assert_same_arrays(run(None), want)
     monkeypatch.setenv("OCTOWIND_WORKERS", "3")
-    assert mc.default_workers() == 3
-    # A count below 1 is refused where an explicit workers = 0 is, not raised to 1.
-    monkeypatch.setenv("OCTOWIND_WORKERS", "0")
-    assert mc.default_workers() == 0
-    with pytest.raises(DomainError, match="workers = 0 violates workers >= 1"):
-        mc.run_radial_mc(ModelSpace.FLAT, 1.0, 0.01, 1e-3, 10, seed=1)
+    _assert_same_arrays(run(None), want)
 
 
-@pytest.mark.parametrize("value", ["two", "1.5", "2x"])
-def test_default_workers_rejects_non_integer(monkeypatch, value):
+@pytest.mark.parametrize("value, message", [
+    ("two", "OCTOWIND_WORKERS = 'two' is not an integer"),
+    ("1.5", "OCTOWIND_WORKERS = '1.5' is not an integer"),
+    ("2x", "OCTOWIND_WORKERS = '2x' is not an integer"),
+    # A count below 1 is refused as an explicit workers = 0 is, not raised to 1.
+    ("0", "OCTOWIND_WORKERS = 0 violates OCTOWIND_WORKERS >= 1"),
+    ("-3", "OCTOWIND_WORKERS = -3 violates OCTOWIND_WORKERS >= 1"),
+], ids=["two", "1.5", "2x", "0", "-3"])
+@pytest.mark.parametrize("run", _DRIVERS, ids=_DRIVER_IDS)
+def test_worker_variable_is_checked_by_every_driver(monkeypatch, run, value, message):
     monkeypatch.setenv("OCTOWIND_WORKERS", value)
-    with pytest.raises(ConfigError, match="OCTOWIND_WORKERS"):
-        mc.default_workers()
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        run(None)
