@@ -74,7 +74,7 @@ def _key(flag: str, convert, form: str, **default):
 class ExperimentConfig:
     """Validated experiment parameters shared by all subcommands; its fields are the config keys."""
 
-    space: ModelSpace = _key("--space", lambda v: ModelSpace.parse(str(v)), "flat, projective or hyperbolic",
+    space: ModelSpace = _key("--space", lambda v: ModelSpace(str(v).lower()), "flat, projective or hyperbolic",
                              default=ModelSpace.FLAT)
     t_end: float = _key("--t", _number, "a finite number >= dt", default=10.0)
     dt: float = _key("--dt", _number, "a number > 0", default=1e-3)

@@ -13,8 +13,8 @@ whenever an explicit step would leave the open radial domain; the noise is
 additive, so the Ito and Stratonovich readings of the radial SDE coincide.
 Every per-space quantity comes from the table in :mod:`octowind.geometry`.
 
-The radial and the coordinate kernel take their per-step standard normals
-from one helper thread that draws them a chunk of steps ahead
+The radial and the coordinate kernel take their per-step standard normals in
+chunks of steps; past the first, one helper thread draws each chunk ahead
 (:func:`_noise_steps`), so the draw overlaps the step.  Philox is counter-based, so the values and their
 order are those of one draw per step; no thread outlives a kernel call.
 """
@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, SimulationError
-from .geometry import R_MIN, ModelSpace, start_problems
+from .geometry import R_MIN, ModelSpace
 from .octonion import winding_form_cols
 
 EULER_MARUYAMA = "euler_maruyama"
@@ -89,7 +89,17 @@ def sim_problems(space: ModelSpace, t_end: float, dt: float, scheme: str = STRAT
         problems.append(f"scheme = {scheme!r}; expected one of {SCHEMES}")
     if r0 is None and w0 is None:
         problems.append("one of r0 or w0 is required")
-    return problems + start_problems(space, r0, point)
+    # The start: r0 where the radial step keeps a path, w0 at a radius inside the chart.
+    spec = space.spec
+    if r0 is not None and not (R_MIN < r0 < spec.r_hi - R_MIN):
+        problems.append(f"r0 = {r0} outside ({R_MIN}, {spec.r_hi - R_MIN:.6g}) for {space.value}")
+    if point is not None:
+        with np.errstate(over="ignore"):  # a norm past the double range is inf, outside every chart
+            r = float(spec.radius(np.linalg.norm(point)))
+        if not (R_MIN < r < spec.chart_ceiling):
+            problems.append(f"w0 at radius {r:.4g} outside the chart bound ({R_MIN}, "
+                            f"{spec.chart_ceiling}) of {space.value}")
+    return problems
 
 
 def _require(problems: list[str]) -> None:
@@ -117,7 +127,7 @@ def _radial_step(law, implicit_root, r, drift, rate, clock, noise, dt, hi_guard,
     redone implicitly, and a path still outside raises for the whole batch."""
     prop = r + drift * dt + noise
     # One reduction per bound on the common path; a NaN fails it and takes the masks.
-    if prop.size and not (prop.min() > R_MIN and prop.max() < hi_guard):
+    if not (prop.min() > R_MIN and prop.max() < hi_guard):
         bad = ~((prop > R_MIN) & (prop < hi_guard))  # a NaN is outside too
         prop[bad] = implicit_root((r + noise)[bad], dt)
         out = np.flatnonzero(~((prop > R_MIN) & (prop < hi_guard)))
@@ -149,34 +159,36 @@ def _noise_steps(t_end: float, dt: float, rng: np.random.Generator, shape: tuple
     standard normals per step, valid until the next step, with the values of one
     ``rng.standard_normal(shape)`` call per step.
 
-    One helper thread draws them one chunk of steps ahead, with ``standard_normal(out=...)``,
-    which runs without the GIL, into two buffers allocated once.  Until the generator ends,
-    ``rng`` is the helper's.  Closed early, it joins the thread and leaves ``rng`` in the
-    state after the last block it handed out: it restores the state saved before the current
-    chunk and draws the rows already handed out again.
+    The calling thread draws the first chunk.  From a second chunk on, one helper thread draws each
+    next chunk ahead, with ``standard_normal(out=...)``, which runs without the GIL, into two buffers
+    allocated once, and until the generator ends ``rng`` is the helper's.  Closed early, it joins the
+    thread and leaves ``rng`` in the state after the last block it handed out: it restores the state
+    saved before the current chunk and draws the rows already handed out again.
     """
-    from concurrent.futures import ThreadPoolExecutor  # loaded by the first kernel call, not on import
-
     steps = _time_steps(t_end, dt)
     rows = max(1, NOISE_CHUNK_BYTES // (8 * math.prod(shape)))
     # Chunks are taken lazily: with an early stop, t_end / dt may be near sys.maxsize.
     chunk = list(itertools.islice(steps, rows))
-    buf, spare, used = np.empty((len(chunk), *shape)), None, 0
-    pool = ThreadPoolExecutor(max_workers=1)
+    state, pool, used = rng.bit_generator.state, None, 0
+    buf = rng.standard_normal((len(chunk), *shape))
     try:
-        pending = rng.bit_generator.state, pool.submit(rng.standard_normal, out=buf)
         while chunk:
-            state, fill = pending
-            fill.result()
             ahead = list(itertools.islice(steps, rows))
             if ahead:
-                spare = np.empty_like(buf) if spare is None else spare
-                pending = rng.bit_generator.state, pool.submit(rng.standard_normal, out=spare[:len(ahead)])
+                if pool is None:  # a run of one chunk neither starts the thread nor imports its module
+                    from concurrent.futures import ThreadPoolExecutor
+
+                    pool, spare = ThreadPoolExecutor(max_workers=1), np.empty_like(buf)
+                ahead_state, fill = rng.bit_generator.state, pool.submit(rng.standard_normal, out=spare[:len(ahead)])
             for used, h in enumerate(chunk, 1):
                 yield h, buf[used - 1]
-            chunk, buf, spare, used = ahead, spare, buf, 0
+            if ahead:
+                fill.result()
+                state, buf, spare = ahead_state, spare, buf
+            chunk, used = ahead, 0
     finally:
-        pool.shutdown()  # waits for a fill in flight, then joins the thread
+        if pool is not None:
+            pool.shutdown()  # waits for a fill in flight, then joins the thread
         if used:
             rng.bit_generator.state = state
             rng.standard_normal(out=buf[:used])
@@ -353,8 +365,7 @@ def _coordinate_states(space: ModelSpace, w0, t_end: float, dt: float, n_paths: 
                     keep = ~bad
                     idx, w, z, w_new = idx[keep], w[:, keep], z[:, keep], w_new[:, keep]
                     n2_new, r_new = n2_new[keep], r_new[keep]
-                if idx.size:
-                    z += winding_form_cols(0.5 * (w + w_new), w_new - w)
+                z += winding_form_cols(0.5 * (w + w_new), w_new - w)
                 w, n2, r = w_new, n2_new, r_new
             if sw_idx.size:
                 sw[:3] = _radial_step(law, implicit_root, *sw, noise[sw_idx, 0] * sqrt_h, h, hi_guard,

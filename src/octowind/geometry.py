@@ -43,13 +43,6 @@ class ModelSpace(enum.Enum):
     PROJECTIVE = "projective"
     HYPERBOLIC = "hyperbolic"
 
-    @classmethod
-    def parse(cls, name: str) -> "ModelSpace":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise DomainError(f"unknown model space {name!r}") from None
-
     @property
     def spec(self) -> "SpaceSpec":
         return SPACES[self]
@@ -157,23 +150,6 @@ SPACES = {
         radial=_hyperbolic_radial, radius=lambda u: np.arctanh(np.minimum(u, 1.0 - 1e-15)),
         norm=np.tanh),
 }
-
-
-def start_problems(space: ModelSpace, r0=None, w0=None) -> list[str]:
-    """Why r0 (radial route) or w0 (coordinate route) cannot start a path on
-    ``space``; either may be None.  r0 must lie in (R_MIN, r_hi - R_MIN), the
-    range the radial step keeps, and w0 at a radius in (R_MIN, chart_ceiling)."""
-    spec = space.spec
-    problems = []
-    if r0 is not None and not (R_MIN < r0 < spec.r_hi - R_MIN):
-        problems.append(f"r0 = {r0} outside ({R_MIN}, {spec.r_hi - R_MIN:.6g}) for {space.value}")
-    if w0 is not None:
-        with np.errstate(over="ignore"):  # a norm past the double range is inf, outside every chart
-            r = float(spec.radius(np.linalg.norm(w0)))
-        if not (R_MIN < r < spec.chart_ceiling):
-            problems.append(f"w0 at radius {r:.4g} outside the chart bound ({R_MIN}, "
-                            f"{spec.chart_ceiling}) of {space.value}")
-    return problems
 
 
 def _scalar(x):

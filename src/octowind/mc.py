@@ -66,6 +66,17 @@ def _block(kernel, seed, want_winding, i, n):
     return (*fields, sample_windings_timechange(fields[1], rng)) if want_winding else fields
 
 
+def _one_blas_thread():
+    """Pool initializer: one thread in NumPy's OpenBLAS (scipy-openblas64_, found in /proc/self/maps;
+    SciPy's has other entry points), since a forked worker keeps one per core and the workers' threads
+    spin against each other.  Where /proc, that library or its entry point is missing, it does nothing."""
+    import ctypes
+
+    with contextlib.suppress(OSError, AttributeError), open("/proc/self/maps") as maps:
+        for lib in {line.split()[-1] for line in maps if "libscipy_openblas64_" in line}:
+            ctypes.CDLL(lib).scipy_openblas_set_num_threads64_(1)
+
+
 def _run_blocks(kernel, n_paths, seed, block_size, workers, want_winding=False):
     """Run ``kernel(n, rng)`` on every block of the n_paths, block i on the
     stream (seed, i), and concatenate each result field in block order;
@@ -87,7 +98,7 @@ def _run_blocks(kernel, n_paths, seed, block_size, workers, want_winding=False):
         from concurrent.futures import ProcessPoolExecutor
 
         # A fork pool starts all its workers at once; more than one per block would idle.
-        with ProcessPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(sizes)), initializer=_one_blas_thread) as pool:
             parts = list(pool.map(block, range(len(sizes)), sizes))
     return [np.concatenate(field) if np.ndim(field[0]) else np.array(field) for field in zip(*parts)]
 

@@ -38,6 +38,14 @@ def test_parse_config_key_value():
     assert cfg.seed == 5
 
 
+def test_space_key_parses_the_name_in_any_case():
+    assert cli.parse_config("space=Flat").space is ModelSpace.FLAT
+    assert cli.parse_config("space=HYPERBOLIC").space is ModelSpace.HYPERBOLIC
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config("space=euclidean")
+    assert exc.value.violations == ["space = 'euclidean'; expected flat, projective or hyperbolic"]
+
+
 def test_parse_config_duplicate_key_json():
     with pytest.raises(ConfigError) as exc:
         cli.parse_config('{"t_end": 1, "t_end": 2}')

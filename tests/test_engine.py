@@ -709,15 +709,31 @@ def test_noise_helper_closed_after_any_step_leaves_the_stream_there(monkeypatch,
 
 
 def test_a_kernel_closed_after_a_few_steps_joins_its_helper():
+    # 1000 steps over chunks of 65 rows.
+    assert _chunk_rows((2000,)) == 65
     threads = threading.active_count()
     rng, ref = make_rng(4), make_rng(4)
-    states = engine._radial_states(ModelSpace.FLAT, 1.0, 1.0, 1e-3, 10, rng)
+    states = engine._radial_states(ModelSpace.FLAT, 1.0, 1.0, 1e-3, 2000, rng)
     for _ in range(4):  # t = 0 and three steps
         next(states)
     assert threading.active_count() == threads + 1  # the helper that draws ahead
     states.close()
     assert threading.active_count() == threads
-    ref.standard_normal(30)
+    ref.standard_normal(3 * 2000)
+    assert np.array_equal(rng.standard_normal(7), ref.standard_normal(7))
+
+
+@pytest.mark.parametrize("taken", [2, 5, None])
+def test_a_kernel_run_of_one_chunk_starts_no_thread(taken):
+    # 1000 steps in one chunk of 13107 rows, run to its end or closed after a few steps.
+    assert _chunk_rows((10,)) > 1000
+    threads = threading.active_count()
+    rng, ref = make_rng(4), make_rng(4)
+    states = engine._radial_states(ModelSpace.FLAT, 1.0, 1.0, 1e-3, 10, rng)
+    for _ in itertools.islice(states, taken):
+        assert threading.active_count() == threads
+    states.close()
+    ref.standard_normal(10 * (1000 if taken is None else taken - 1))
     assert np.array_equal(rng.standard_normal(7), ref.standard_normal(7))
 
 

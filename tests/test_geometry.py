@@ -29,13 +29,6 @@ def _drift(space, r):
     return space.spec.radial(None)[0](np.asarray(r, dtype=float))[0]
 
 
-def test_parse():
-    assert ModelSpace.parse("Flat") is ModelSpace.FLAT
-    assert ModelSpace.parse("hyperbolic") is ModelSpace.HYPERBOLIC
-    with pytest.raises(DomainError):
-        ModelSpace.parse("euclidean")
-
-
 def test_radial_drift_values():
     r = 0.8
     assert _drift(ModelSpace.FLAT, r) == pytest.approx(7.0 / (2.0 * r))

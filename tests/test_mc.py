@@ -1,6 +1,7 @@
 """Block runner: worker-count independence, failing blocks and the OCTOWIND_WORKERS setting."""
 
 import concurrent.futures
+import ctypes
 import dataclasses
 import pickle
 import re
@@ -57,7 +58,7 @@ def pool_sizes(monkeypatch):
     sizes = []
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -90,6 +91,34 @@ def test_pool_has_at_most_one_worker_per_block(pool_sizes):
 def test_block_job_survives_pickling(pool_sizes, run):
     _assert_same_arrays(run(workers=1), run(workers=2))
     assert pool_sizes == [2]
+
+
+def _openblas():
+    """NumPy's scipy-openblas in this process, or None where /proc/self/maps or its entry point is missing."""
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = [ctypes.CDLL(path) for path in {line.split()[-1] for line in maps if "libscipy_openblas64_" in line}]
+    except OSError:
+        return None
+    return next((lib for lib in libs if hasattr(lib, "scipy_openblas_get_num_threads64_")), None)
+
+
+def _blas_threads(n, rng):
+    return np.array([_openblas().scipy_openblas_get_num_threads64_()]), n
+
+
+def test_pool_workers_run_one_blas_thread():
+    # A forked worker keeps the parent's BLAS threads, one per core, unless the pool's initializer sets one.
+    # SciPy's own scipy-openblas, loaded too, has other entry points.
+    import scipy.linalg  # noqa: F401
+
+    lib = _openblas()
+    if lib is None:
+        pytest.skip("NumPy's BLAS here is not scipy-openblas read through /proc/self/maps")
+    threads = lib.scipy_openblas_get_num_threads64_()
+    in_workers, sizes = mc._run_blocks(_blas_threads, 4, 1, 2, 2)
+    assert in_workers.tolist() == [1, 1] and sizes.tolist() == [2, 2]
+    assert lib.scipy_openblas_get_num_threads64_() == threads  # the parent keeps its own
 
 
 def test_projective_tilt_is_refused():
