@@ -15,7 +15,9 @@ Every per-space quantity comes from the table in :mod:`octowind.geometry`.
 
 The radial and the coordinate kernel take their per-step standard normals in
 chunks of steps; past the first, one helper thread draws each chunk ahead
-(:func:`_noise_steps`), so the draw overlaps the step.  Philox is counter-based, so the values and their
+(:func:`_noise_steps`), so the draw overlaps the step.  In the workers of a
+process pool that fills every usable core, which has no core spare for the
+helper, each step draws inline instead.  Philox is counter-based, so the values and their
 order are those of one draw per step; no thread outlives a kernel call.
 """
 
@@ -153,19 +155,29 @@ def _time_steps(t_end: float, dt: float):
 #: memory grows with the size (CHANGES.md has the measured curve).
 NOISE_CHUNK_BYTES = 1 << 20
 
+#: Whether :func:`_noise_steps` draws ahead on a helper thread.  The workers of a process pool that
+#: fills every usable core set it False (``mc._run_blocks``): there the helper has no core of its own.
+_draw_ahead = True
+
 
 def _noise_steps(t_end: float, dt: float, rng: np.random.Generator, shape: tuple[int, ...]):
     """Yields (h, normals) for each step h of :func:`_time_steps`: a block of ``shape``
     standard normals per step, valid until the next step, with the values of one
     ``rng.standard_normal(shape)`` call per step.
 
-    The calling thread draws the first chunk.  From a second chunk on, one helper thread draws each
+    With ``_draw_ahead`` False, the calling thread draws each step into one reused buffer, so ``rng``
+    is always just after the last block handed out.  Otherwise the calling thread draws the first chunk.  From a second chunk on, one helper thread draws each
     next chunk ahead, with ``standard_normal(out=...)``, which runs without the GIL, into two buffers
     allocated once, and until the generator ends ``rng`` is the helper's.  Closed early, it joins the
     thread and leaves ``rng`` in the state after the last block it handed out: it restores the state
     saved before the current chunk and draws the rows already handed out again.
     """
     steps = _time_steps(t_end, dt)
+    if not _draw_ahead:
+        buf = np.empty(shape)
+        for h in steps:
+            yield h, rng.standard_normal(out=buf)
+        return
     rows = max(1, NOISE_CHUNK_BYTES // (8 * math.prod(shape)))
     # Chunks are taken lazily: with an early stop, t_end / dt may be near sys.maxsize.
     chunk = list(itertools.islice(steps, rows))

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import engine
 from .engine import (
     DEFAULT_SEED,
     count_problems,
@@ -61,17 +62,27 @@ def _block(kernel, seed, want_winding, i, n):
     rng = make_rng(seed, (i,))
     try:
         fields = kernel(n, rng)
+        return (*fields, sample_windings_timechange(fields[1], rng)) if want_winding else fields
     except SimulationError as exc:
         raise SimulationError(f"block {i}: {exc}") from None
-    return (*fields, sample_windings_timechange(fields[1], rng)) if want_winding else fields
+    except MemoryError:
+        raise SimulationError(f"block {i} of {n} paths: out of memory") from None
 
 
-def _one_blas_thread():
-    """Pool initializer: one thread in NumPy's OpenBLAS (scipy-openblas64_, found in /proc/self/maps;
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity, or the CPU count where there is none."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _init_worker(draw_ahead: bool):
+    """Pool initializer.  ``draw_ahead`` False makes the kernels draw each step's normals inline
+    (``engine._draw_ahead``), as a pool that fills every usable core leaves no core for the noise helper.
+    It also sets one thread in NumPy's OpenBLAS (scipy-openblas64_, found in /proc/self/maps;
     SciPy's has other entry points), since a forked worker keeps one per core and the workers' threads
-    spin against each other.  Where /proc, that library or its entry point is missing, it does nothing."""
+    spin against each other.  Where /proc, that library or its entry point is missing, that does nothing."""
     import ctypes
 
+    engine._draw_ahead = draw_ahead
     with contextlib.suppress(OSError, AttributeError), open("/proc/self/maps") as maps:
         for lib in {line.split()[-1] for line in maps if "libscipy_openblas64_" in line}:
             ctypes.CDLL(lib).scipy_openblas_set_num_threads64_(1)
@@ -95,11 +106,24 @@ def _run_blocks(kernel, n_paths, seed, block_size, workers, want_winding=False):
         parts = list(map(block, range(len(sizes)), sizes))
     else:
         # Imported here so that an in-process run never loads the pool module.
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
+        # fork on every Python (Linux's default up to 3.13; forkserver and spawn start a pool about 0.2 s
+        # later), but not on macOS, whose system libraries are not fork-safe.
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() and sys.platform != "darwin" else None
         # A fork pool starts all its workers at once; more than one per block would idle.
-        with ProcessPoolExecutor(max_workers=min(workers, len(sizes)), initializer=_one_blas_thread) as pool:
+        size = min(workers, len(sizes))
+        pool = ProcessPoolExecutor(max_workers=size, mp_context=multiprocessing.get_context(method),
+                                   initializer=_init_worker, initargs=(size < _usable_cores(),))
+        try:
             parts = list(pool.map(block, range(len(sizes)), sizes))
+        except BrokenProcessPool:
+            raise SimulationError(f"a pool worker stopped before its block was done (workers = {size}); "
+                                  "the system may have run out of memory") from None
+        finally:
+            pool.shutdown(cancel_futures=True)
     return [np.concatenate(field) if np.ndim(field[0]) else np.array(field) for field in zip(*parts)]
 
 

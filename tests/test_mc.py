@@ -1,17 +1,20 @@
-"""Block runner: worker-count independence, failing blocks and the OCTOWIND_WORKERS setting."""
+"""Block runner: worker-count independence, the process pool, failing blocks and the OCTOWIND_WORKERS setting."""
 
 import concurrent.futures
 import ctypes
 import dataclasses
+import os
 import pickle
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from octowind import geometry, mc
+from octowind import cli, engine, geometry, mc
 from octowind.errors import DomainError, SimulationError
 from octowind.geometry import R_MIN, ModelSpace, coord_norm
 
@@ -58,17 +61,14 @@ def pool_sizes(monkeypatch):
     sizes = []
 
     class InProcessPool:
-        def __init__(self, max_workers, initializer=None):
+        def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
             sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
 
         def map(self, fn, *iterables):
             return map(pickle.loads(pickle.dumps(fn)), *iterables)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return sizes
@@ -119,6 +119,75 @@ def test_pool_workers_run_one_blas_thread():
     in_workers, sizes = mc._run_blocks(_blas_threads, 4, 1, 2, 2)
     assert in_workers.tolist() == [1, 1] and sizes.tolist() == [2, 2]
     assert lib.scipy_openblas_get_num_threads64_() == threads  # the parent keeps its own
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the pool forks on Linux")
+def test_the_pool_forks_on_every_python(monkeypatch):
+    # Python 3.14 starts pools by forkserver by default on Linux; the pool asks for fork on every version.
+    methods = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, mp_context=None, **kwargs):
+            methods.append(mp_context.get_start_method())
+            super().__init__(*args, mp_context=mp_context, **kwargs)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    mc.run_radial_mc(ModelSpace.FLAT, 1.0, 0.01, 1e-3, 80, seed=1, block_size=40, workers=2)
+    assert methods == ["fork"]
+
+
+# A pool whose workers fill the usable cores draws each step's normals inline in its workers, so
+# these runs span more than one chunk of normals (65 rows at 2000 paths, one row at 25,000).
+@pytest.mark.parametrize("run", [
+    # Every path escapes by step 146 of 5000, so each block closes its noise early, then draws its windings.
+    lambda workers: mc.run_radial_mc(ModelSpace.HYPERBOLIC, 1.0, 50.0, 1e-2, 4000, seed=38, want_winding=True,
+                                     stop_rate_tol=1e-10, block_size=2000, workers=workers),
+    lambda workers: mc.run_coordinate_mc(ModelSpace.PROJECTIVE, np.eye(8)[0], 0.005, 1e-3, TWO_BLOCKS, seed=39,
+                                         workers=workers),
+], ids=["radial_early_stop", "coordinate"])
+def test_a_pool_that_fills_the_cores_draws_inline_with_the_same_bits(monkeypatch, run):
+    monkeypatch.setattr(mc, "_usable_cores", lambda: 2)
+    _assert_same_arrays(run(workers=2), run(workers=1))
+
+
+def _threads_while_drawing(n, rng):
+    """Block kernel: the threads of this process before and, at most, while 200 steps draw over four chunks."""
+    before = threading.active_count()
+    return before, max(threading.active_count() for _ in engine._noise_steps(2.0, 1e-2, rng, (n,)))
+
+
+@pytest.mark.parametrize("cores, helpers", [(2, 0), (64, 1)], ids=["cores_filled", "core_spare"])
+def test_a_pool_worker_starts_the_noise_helper_only_with_a_core_spare(monkeypatch, cores, helpers):
+    monkeypatch.setattr(mc, "_usable_cores", lambda: cores)
+    before, during = mc._run_blocks(_threads_while_drawing, 4000, 1, 2000, 2)
+    assert (during - before).tolist() == [helpers, helpers]
+
+
+def _exit_kernel(*args, **kwargs):
+    os._exit(1)  # as a worker killed by the system would
+
+
+def _memory_error_kernel(*args, **kwargs):
+    raise MemoryError  # as a block too large to allocate would
+
+
+def test_a_stopped_pool_worker_is_a_simulation_error():
+    with pytest.raises(SimulationError, match=r"^a pool worker stopped .*\(workers = 2\)"):
+        mc._run_blocks(_exit_kernel, 4, 1, 2, 2)
+
+
+def test_a_block_out_of_memory_is_a_simulation_error():
+    with pytest.raises(SimulationError, match=r"^block 1 of 3 paths: out of memory$"):
+        mc._run_blocks(lambda n, rng: (np.zeros(n),) if n == 5 else _memory_error_kernel(), 8, 1, 5, 1)
+
+
+@pytest.mark.parametrize("kernel, workers", [(_exit_kernel, 2), (_memory_error_kernel, 1), (_memory_error_kernel, 2)],
+                         ids=["worker_stopped", "out_of_memory", "out_of_memory_in_a_worker"])
+def test_a_failed_run_is_one_error_line(monkeypatch, capsys, kernel, workers):
+    monkeypatch.setattr(mc, "simulate_radial_batch", kernel)
+    argv = ["charfn", "--space", "flat", "--t", "0.01", "--paths", "4", "--block-size", "2", "--workers", str(workers)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def test_projective_tilt_is_refused():
