@@ -1,11 +1,6 @@
-"""Batch experiment runner.
-
-Subcommands:
-
-* ``simulate`` -- dump one trajectory (radial or coordinate) to CSV;
-* ``charfn``   -- Monte Carlo characteristic function vs the closed form;
-* ``table``    -- emit closed-form reference values as CSV;
-* ``verify``   -- run a fast property suite and write a JSON report.
+"""Batch experiment runner: ``simulate`` (one radial or coordinate trajectory as CSV), ``charfn`` (the Monte
+Carlo characteristic function against the closed form), ``table`` (closed-form values as CSV) and ``verify``
+(a fast property suite, reported as JSON), each declared in ``_COMMANDS`` with the config keys it reads.
 
 Every CSV artifact starts with a comment line carrying a hash of the
 resolved configuration; identical configuration and seed reproduce
@@ -72,7 +67,7 @@ def _key(flag: str, convert, form: str, **default):
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment parameters shared by all subcommands; its fields are the config keys."""
+    """Validated experiment parameters; its fields are the config keys, of which each subcommand reads its own."""
 
     space: ModelSpace = _key("--space", lambda v: ModelSpace(str(v).lower()), "flat, projective or hyperbolic",
                              default=ModelSpace.FLAT)
@@ -112,18 +107,22 @@ def _convert(key: str, value, convert, form: str, violations: list):
         violations.append(f"{key} = {value!r}; expected {form}")
 
 
-def _validate(raw: dict, violations=()) -> ExperimentConfig:
+def _validate(raw: dict, violations=(), command: Optional[str] = None) -> ExperimentConfig:
+    """The config in ``raw``, where a key that ``command`` does not read is refused and keeps its default (with no
+    command, every key is read); a subcommand that does not read workers runs no pool and ignores OCTOWIND_WORKERS."""
     violations = list(violations)  # those the caller found come first
-    keys = dataclasses.fields(ExperimentConfig)
-    violations += [f"unknown key {key!r}" for key in sorted(set(raw) - {k.name for k in keys})]
+    keys = {k.name: k for k in dataclasses.fields(ExperimentConfig)}
+    reads = set(_COMMANDS[command][1] if command else keys)
+    violations += [f"unknown key {key!r}" for key in sorted(set(raw) - set(keys))]
+    violations += [f"{key} is not read by {command}" for key in sorted(set(raw) & set(keys) - reads)]
     cfg = ExperimentConfig()
-    for k in keys:
-        if k.name in raw:
+    for k in keys.values():
+        if k.name in raw and k.name in reads:
             value = _convert(k.name, raw[k.name], *k.metadata["cli"][1:], violations)
             if value is not None or k.name == "r0":  # an unreadable r0 leaves no start point
                 setattr(cfg, k.name, value)
     violations += engine.sim_problems(cfg.space, cfg.t_end, cfg.dt, cfg.scheme, cfg.r0, cfg.w0)
-    violations += mc.run_problems(cfg.n_paths, cfg.block_size, cfg.workers, cfg.seed)
+    violations += mc.run_problems(cfg.n_paths, cfg.block_size, cfg.workers if "workers" in reads else 1, cfg.seed)
     violations += _out_problems(cfg.out)
     violations += [f"lambda_norms entry {v!r} violates 0 <= |lambda| <= {specfun.LAMBDA_MAX:.4g}"
                    for v in cfg.lambda_norms if not 0 <= v <= specfun.LAMBDA_MAX]
@@ -183,9 +182,22 @@ def _out_problems(path: Optional[str]) -> list[str]:
     return []
 
 
+@contextlib.contextmanager
+def _opened(path: Optional[str]):
+    """``path`` open for writing, or stdout when there is none; a failed write to ``path`` is one error."""
+    if not path:
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise OctowindError(f"out = {path!r}: {exc.strerror or exc}") from None
+
+
 def _write_csv(path: Optional[str], header: list[str], rows, config_hash: str) -> None:
     """Write the artifact to ``path``, or to stdout when there is none, one row at a time."""
-    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+    with _opened(path) as fh:
         fh.write(f"# config {config_hash}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -195,7 +207,7 @@ def _write_csv(path: Optional[str], header: list[str], rows, config_hash: str) -
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _cmd_simulate(cfg: ExperimentConfig) -> int:
+def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
     if cfg.w0 is not None:
         path = engine.simulate_coordinate(cfg)
         end = path[-1]
@@ -235,7 +247,7 @@ def _closed_forms(cfg: ExperimentConfig, entries) -> list[float]:
     return values
 
 
-def _cmd_charfn(cfg: ExperimentConfig) -> int:
+def _cmd_charfn(cfg: ExperimentConfig, args) -> int:
     closed = _closed_forms(cfg, [(ln, cfg.t_end, ln) for ln in cfg.lambda_norms])  # before the run
     stop_tol = 1e-13 if cfg.space is ModelSpace.HYPERBOLIC else None
     result = mc.run_radial_mc(
@@ -253,13 +265,13 @@ def _cmd_charfn(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_table(cfg: ExperimentConfig, t_values: list[float]) -> int:
+def _cmd_table(cfg: ExperimentConfig, args) -> int:
     # Per |lambda|, the flat rows (of sqrt(6 / log t) zeta(t) past t = 1, as in the flat limit), then the limit.
     entries = [(ln, t, ln * math.sqrt(6.0 / math.log(t)) if 1 < t < math.inf else ln)
-               for ln in cfg.lambda_norms for t in [*(t_values if cfg.space is ModelSpace.FLAT else []), math.inf]]
+               for ln in cfg.lambda_norms for t in [*(args.t_values if cfg.space is ModelSpace.FLAT else []), math.inf]]
     rows = [[cfg.space.value, ln, cfg.r0, t, v] for (ln, t, _), v in zip(entries, _closed_forms(cfg, entries))]
     header = ["space", "lambda_norm", "r0", "t", "closed_form_value"]
-    _write_csv(cfg.out, header, rows, cfg.config_hash(t_values=t_values))
+    _write_csv(cfg.out, header, rows, cfg.config_hash(t_values=args.t_values))
     if cfg.out:
         print(f"wrote {len(rows)} rows to {cfg.out}")
     return 0
@@ -334,10 +346,10 @@ _SUITES = {
 }
 
 
-def _cmd_verify(suite: str, out: Optional[str]) -> int:
-    if problems := _out_problems(out):
+def _cmd_verify(cfg: ExperimentConfig, args) -> int:
+    if problems := _out_problems(args.out):
         raise ConfigError(problems)
-    names = list(_SUITES) if suite == "all" else [suite]
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
     report = {"suites": {}}
     ok = True
     for name in names:
@@ -348,8 +360,8 @@ def _cmd_verify(suite: str, out: Optional[str]) -> int:
             print(f"[{name}] {c['name']}: {status} ({c['detail']})")
             ok = ok and c["passed"]
     report["pass"] = ok
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with _opened(args.out) as fh:
             json.dump(report, fh, indent=2)
     return 0 if ok else 1
 
@@ -357,31 +369,38 @@ def _cmd_verify(suite: str, out: Optional[str]) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 
-def _add_common(p: argparse.ArgumentParser):
-    # Values stay strings: _validate converts them as it does a config file's,
-    # so a malformed flag is one more listed violation.
-    p.add_argument("--config", help="JSON or key=value config file; flags override it")
-    for k in dataclasses.fields(ExperimentConfig):
-        flag, _, form = k.metadata["cli"]
-        p.add_argument(flag, dest=k.name, help=form)
+# Each subcommand: its help line, the config keys it reads (the flags it takes), and its handler, which gets
+# the validated config and the parsed arguments.  verify reads no key: its flags are its own.
+_COMMANDS = {
+    "simulate": ("dump one trajectory to CSV", ("space", "t_end", "dt", "r0", "w0", "seed", "out", "scheme"),
+                 _cmd_simulate),
+    "charfn": ("Monte Carlo characteristic function vs closed form", ("space", "t_end", "dt", "n_paths", "r0",
+               "lambda_norms", "seed", "out", "workers", "block_size"), _cmd_charfn),
+    "table": ("closed-form reference values as CSV", ("space", "r0", "lambda_norms", "out"), _cmd_table),
+    "verify": ("run a property suite", (), _cmd_verify),
+}
 
 
-def _resolve(args) -> ExperimentConfig:
-    try:
-        raw = _read(Path(args.config).read_text()) if args.config else {}
+def _resolve(args, extra: list[str]) -> ExperimentConfig:
+    """The subcommand's config: its --config file, overridden by its flags, and by those that argparse left over."""
+    try:  # verify takes no config file
+        raw = _read(Path(args.config).read_text()) if getattr(args, "config", None) else {}
     except OSError as exc:
         raise ConfigError([f"config file {args.config!r}: {exc.strerror}"]) from None
     except UnicodeDecodeError as exc:
         raise ConfigError([f"config file {args.config!r} is not UTF-8 text: {exc.reason}"]) from None
-    raw.update({k.name: v for k in dataclasses.fields(ExperimentConfig) if (v := getattr(args, k.name)) is not None})
+    flags = {k.metadata["cli"][0]: k.name for k in dataclasses.fields(ExperimentConfig)}
+    named = [flags.get(word.partition("=")[0]) for word in extra if word[:2] == "--"]  # keys it does not read
+    if extra and (None in named or extra[0][:2] != "--"):
+        raise ConfigError([f"unrecognized arguments: {' '.join(extra)}"])
+    raw.update(dict.fromkeys(named))
+    raw.update({key: v for key in _COMMANDS[args.command][1] if (v := getattr(args, key)) is not None})
     problems = []
-    if args.command != "simulate" and "w0" in raw:
-        problems.append(f"w0 is for simulate only; {args.command} starts from r0")
     if args.command == "table":
         args.t_values = _convert("t_values", args.t_values, _floats, "comma-separated numbers", problems)
         problems += [f"t_values entry {t!r} violates 0 < t < inf"
                      for t in args.t_values or () if not 0 < t < math.inf]
-    return _validate(raw, problems)
+    return _validate(raw, problems, args.command)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -410,37 +429,38 @@ def _parser() -> _Parser:
     """The command-line parser, built on first use."""
     parser = _Parser(prog="octowind", description="Brownian winding functionals on the octonionic model spaces")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, text in (("simulate", "dump one trajectory to CSV"),
-                       ("charfn", "Monte Carlo characteristic function vs closed form"),
-                       ("table", "closed-form reference values as CSV")):
-        _add_common(sub.add_parser(name, help=text))
+    for name, (text, keys, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if keys:
+            p.add_argument("--config", help="JSON or key=value config file; flags override it")
+        for k in dataclasses.fields(ExperimentConfig):  # values stay strings, which _validate converts as a file's
+            if k.name in keys:
+                flag, _, form = k.metadata["cli"]
+                p.add_argument(flag, dest=k.name, help=form)
     sub.choices["table"].add_argument("--t-values", default="1e3,1e5,1e8",
                                       help="comma-separated horizons for the flat table")
-
-    p_ver = sub.add_parser("verify", help="run a property suite")
-    p_ver.add_argument("--suite", choices=[*_SUITES, "all"], default="all")
-    p_ver.add_argument("--out", help="JSON report path")
+    sub.choices["verify"].add_argument("--suite", choices=[*_SUITES, "all"], default="all")
+    sub.choices["verify"].add_argument("--out", help="JSON report path")
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
-        if args.command == "verify":
-            return _cmd_verify(args.suite, args.out)
-        cfg = _resolve(args)
-        if args.command == "simulate":
-            return _cmd_simulate(cfg)
-        if args.command == "charfn":
-            return _cmd_charfn(cfg)
-        return _cmd_table(cfg, args.t_values)
+        args, extra = _parser().parse_known_args(_join_values(sys.argv[1:] if argv is None else argv))
+        code = _COMMANDS[args.command][2](_resolve(args, extra), args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except ConfigError as exc:
         for v in exc.violations:
             print(f"config error: {v}", file=sys.stderr)
         return 2
     except OctowindError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed stdout (| head).  As the "Note on SIGPIPE" of the signal module's documentation
+        # shows, stdout goes to os.devnull, so that its flush at exit finds no closed pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -317,6 +318,10 @@ def test_merged_config_lists_every_violation(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+# Flags that run each subcommand, with only the keys it reads.
+_RUN = {"simulate": ["--t", "0.1"], "charfn": ["--t", "0.1", "--paths", "50"], "table": []}
+
+
 @pytest.mark.parametrize("command", ["charfn", "table"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_w0_is_rejected_outside_simulate(tmp_path, capsys, command, source):
@@ -324,12 +329,64 @@ def test_w0_is_rejected_outside_simulate(tmp_path, capsys, command, source):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"w0 = {w0}\n")
     start = ["--w0", w0] if source == "flag" else ["--config", str(cfg)]
-    argv = [command, "--space", "projective", *start, "--t", "0.1", "--paths", "10",
-            "--out", str(tmp_path / "o.csv")]
+    argv = [command, "--space", "projective", *start, *_RUN[command], "--out", str(tmp_path / "o.csv")]
     assert _run(argv) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "w0" in err
+    assert capsys.readouterr().err == f"config error: w0 is not read by {command}\n"
     assert not (tmp_path / "o.csv").exists()
+
+
+# The flags that each subcommand takes, besides --help and --config: those of the keys it reads.
+_COMMAND_FLAGS = {
+    "simulate": {"--space", "--t", "--dt", "--r0", "--w0", "--seed", "--out", "--scheme"},
+    "charfn": {"--space", "--t", "--dt", "--paths", "--r0", "--lambda-norm", "--seed", "--out", "--workers",
+               "--block-size"},
+    "table": {"--space", "--r0", "--lambda-norm", "--out", "--t-values"},
+}
+
+
+@pytest.mark.parametrize("command", _COMMAND_FLAGS)
+def test_help_lists_the_flags_of_the_keys_the_subcommand_reads(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    flags = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out))
+    assert flags == _COMMAND_FLAGS[command] | {"--help", "--config"}
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["simulate", "--space", "flat", "--t", "0.01", "--r0", "1", "--paths", "5"], "n_paths"),
+    (["simulate", "--space", "flat", "--t", "0.01", "--r0", "1", "--lambda-norm=3", "--workers", "4"], "lambda_norms"),
+    (["charfn", "--space", "flat", "--t", "0.01", "--scheme", "euler_maruyama"], "scheme"),
+    (["table", "--space", "flat", "--seed", "5"], "seed"),
+    (["table", "--space", "flat", "--dt", "1e-3"], "dt"),
+    (["verify", "--seed", "5"], "seed"),
+], ids=["simulate_paths", "simulate_lambda_norm", "charfn_scheme", "table_seed", "table_dt", "verify_seed"])
+def test_a_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, argv, key):
+    assert _run([*argv, "--out", str(tmp_path / "o.csv")]) == 2
+    captured = capsys.readouterr()
+    assert f"config error: {key} is not read by {argv[0]}\n" in captured.err and captured.out == ""
+    assert not (tmp_path / "o.csv").exists()
+
+
+# test_w0_is_rejected_outside_simulate has the w0 cases.
+@pytest.mark.parametrize("command,text,key", [
+    ("simulate", "space = flat\nt_end = 0.01\nr0 = 1\nn_paths = 5\n", "n_paths"),
+    ("charfn", "space = flat\nt_end = 0.01\nscheme = euler_maruyama\n", "scheme"),
+    ("table", '{"space": "flat", "seed": 5}', "seed"),
+])
+def test_a_config_file_key_the_subcommand_does_not_read_exits_2(tmp_path, capsys, command, text, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert _run([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    assert f"config error: {key} is not read by {command}\n" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_table_t_abbreviates_t_values(tmp_path, capsys):
+    # argparse takes a prefix of one flag as that flag; table has no --t of its own.
+    assert _run(["table", "--space", "flat", "--t", "1e3", "--out", str(tmp_path / "t.csv")]) == 0
+    assert _run(["table", "--space", "flat", "--t-values", "1e3", "--out", str(tmp_path / "t-values.csv")]) == 0
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "t-values.csv").read_bytes()
 
 
 @pytest.mark.parametrize("argv,named", [
@@ -419,7 +476,7 @@ def _exit_0_or_2(argv: list[str], column: Optional[str] = None) -> None:
 def test_table_generated_closed_form_inputs(space, r0, lambda_norms, t_values):
     # key=value flags, so that argparse takes a leading minus sign as part of the value
     _exit_0_or_2(["table", f"--space={space}", f"--r0={r0}", f"--lambda-norm={lambda_norms}",
-                  f"--t-values={t_values}", "--workers=1"], "closed_form_value")
+                  f"--t-values={t_values}"], "closed_form_value")
 
 
 @settings(max_examples=500, derandomize=True, deadline=None)
@@ -518,12 +575,12 @@ _FLAGS = {k.name: k.metadata["cli"][0] for k in dataclasses.fields(cli.Experimen
          t_values="1e3")
 @example(keys={"r0": "-1e3", "t_end": "0.01", "dt": "1e-3", "n_paths": "1"}, t_values="1e3")
 def test_every_key_exits_0_or_2(tmp_path, monkeypatch, keys, t_values):
-    # Each subcommand runs each draw twice: as --key value flags, and as a JSON config.
+    # Each subcommand runs the drawn keys that it reads twice: as --key value flags, and as a JSON config.
     monkeypatch.chdir(tmp_path)
-    Path("run.json").write_text(json.dumps({k: _json_value(v) for k, v in keys.items()}))
-    flags = [w for k, v in keys.items() for w in (_FLAGS[k], _flag_text(v))]
     for command, extra in (("simulate", []), ("charfn", []), ("table", ["--t-values", t_values])):
-        _exit_0_or_2([command, *flags, *extra])
+        read = {k: v for k, v in keys.items() if k in cli._COMMANDS[command][1]}
+        Path("run.json").write_text(json.dumps({k: _json_value(v) for k, v in read.items()}))
+        _exit_0_or_2([command, *(w for k, v in read.items() for w in (_FLAGS[k], _flag_text(v))), *extra])
         _exit_0_or_2([command, "--config", "run.json", *extra])
 
 
@@ -531,7 +588,7 @@ def test_every_key_exits_0_or_2(tmp_path, monkeypatch, keys, t_values):
 @pytest.mark.parametrize("command", ["simulate", "charfn", "table", "verify"])
 def test_bad_out_exits_2_before_the_run(tmp_path, monkeypatch, capsys, command, out):
     monkeypatch.chdir(tmp_path)
-    run = [] if command == "verify" else ["--space", "hyperbolic", "--t", "0.5", "--paths", "200"]
+    run = [] if command == "verify" else ["--space", "hyperbolic", *_RUN[command]]
     assert _run([command, *run, "--out", out]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""  # nothing ran
@@ -551,9 +608,9 @@ def test_out_name_too_long_exits_2_before_the_run(tmp_path, monkeypatch, capsys)
 def test_projective_radial_start_beyond_the_chart_ceiling_runs(tmp_path, capsys):
     # 1.5 lies past the coordinate chart ceiling 1.45 but inside the radial
     # domain, which is all a radial path needs.
-    argv = ["--space", "projective", "--r0", "1.5", "--t", "0.1", "--paths", "50"]
-    assert _run(["simulate", *argv, "--out", str(tmp_path / "s.csv")]) == 0
-    assert _run(["charfn", *argv, "--out", str(tmp_path / "c.csv")]) == 0
+    for command in ("simulate", "charfn"):
+        argv = [command, "--space", "projective", "--r0", "1.5", *_RUN[command], "--out", str(tmp_path / "o.csv")]
+        assert _run(argv) == 0
 
 
 @pytest.mark.parametrize("command", ["simulate", "charfn", "table"])
@@ -564,9 +621,12 @@ def test_projective_radial_start_beyond_the_chart_ceiling_runs(tmp_path, capsys)
     ["--space", "flat", "--w0", "20,0,0,0,0,0,0,0"],
 ])
 def test_invalid_start_point_exits_2_from_every_subcommand(tmp_path, capsys, command, start):
-    argv = [command, *start, "--t", "0.1", "--paths", "50", "--out", str(tmp_path / "o.csv")]
+    argv = [command, *start, *_RUN[command], "--out", str(tmp_path / "o.csv")]
     assert _run(argv) == 2
-    assert "config error" in capsys.readouterr().err
+    # Only simulate reads w0: the radial subcommands start from r0.
+    named = ("r0 = " if start[2] == "--r0" else "w0 at radius " if command == "simulate"
+             else f"w0 is not read by {command}")
+    assert capsys.readouterr().err.startswith(f"config error: {named}")
     assert not (tmp_path / "o.csv").exists()
 
 
@@ -615,12 +675,14 @@ def test_malformed_flags_are_listed_config_errors(capsys):
 
 
 def test_every_typed_flag_is_validated_with_the_rest(tmp_path, capsys):
-    argv = ["charfn", "--space", "moebius", "--t", "abc", "--paths", "1.5", "--seed", "x", "--workers", "two",
-            "--block-size", "big", "--scheme", "rk4", "--r0", "q", "--out", str(tmp_path / "o.csv")]
-    assert cli.main(argv) == 2
-    err = capsys.readouterr().err
-    for named in ("moebius", "'abc'", "'1.5'", "'x'", "'two'", "'big'", "'rk4'", "'q'"):
-        assert named in err
+    common = ["--space", "moebius", "--t", "abc", "--seed", "x", "--r0", "q", "--out", str(tmp_path / "o.csv")]
+    for argv, named in ((["charfn", "--paths", "1.5", "--workers", "two", "--block-size", "big"],
+                         ("'1.5'", "'two'", "'big'")), (["simulate", "--scheme", "rk4"], ("'rk4'",))):
+        assert cli.main([*argv, *common]) == 2
+        err = capsys.readouterr().err
+        assert "is not read by" not in err
+        for value in ("moebius", "'abc'", "'x'", "'q'", *named):
+            assert value in err
     assert not (tmp_path / "o.csv").exists()
 
 
@@ -679,6 +741,43 @@ def test_workers_default_from_environment(tmp_path, monkeypatch, capsys):
     assert _run(argv + ["--workers", "0", "--out", str(tmp_path / "bad.csv")]) == 2
     assert "config error: workers = 0 violates workers >= 1" in capsys.readouterr().err
     assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--space", "flat", "--t", "0.01", "--r0", "1"],
+    ["table", "--space", "flat", "--t-values", "1e3"],
+], ids=["simulate", "table"])
+def test_a_subcommand_without_a_pool_ignores_octowind_workers(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.delenv("OCTOWIND_WORKERS", raising=False)
+    assert _run([*argv, "--out", str(tmp_path / "unset.csv")]) == 0
+    for env in ("two", "0"):
+        monkeypatch.setenv("OCTOWIND_WORKERS", env)
+        assert _run([*argv, "--out", str(tmp_path / f"{env}.csv")]) == 0
+        assert (tmp_path / f"{env}.csv").read_bytes() == (tmp_path / "unset.csv").read_bytes()
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--space", "flat", "--t", "0.01", "--r0", "1"],
+    ["verify", "--suite", "specfun"],
+], ids=["simulate", "verify"])
+def test_a_failed_out_write_is_one_error_line(capsys, argv):
+    assert _run([*argv, "--out", "/dev/full"]) == 1
+    assert capsys.readouterr().err == "error: out = '/dev/full': No space left on device\n"
+
+
+def test_a_closed_stdout_ends_quietly(tmp_path):
+    # The reader closes the pipe after the first line.  The 20,001 rows (about 1 MB) that follow are far more
+    # than a pipe holds, so the writer meets the closed pipe however fast it runs.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.Popen([sys.executable, "-m", "octowind.cli", "simulate", "--space", "flat", "--t", "20",
+                             "--r0", "1"], cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"radial path: ")
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_verify_all_passes(tmp_path, capsys):
