@@ -170,14 +170,18 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def _out_problems(path: Optional[str]) -> list[str]:
     """Why an artifact cannot be written to ``path``; checked before the run."""
+    if not path:
+        return []
     try:  # not Path.is_dir, which from Python 3.14 on answers False for every OSError
-        if path and stat.S_ISDIR(os.stat(path).st_mode):
+        if stat.S_ISDIR(os.stat(path).st_mode):
             return [f"out = {path!r} is a directory"]
+        # An existing file (or device, such as /dev/full) is opened in place: its own permission counts.
+        return [] if os.access(path, os.W_OK) else [f"out = {path!r} is not writable"]
     except FileNotFoundError:
         pass
     except OSError as exc:  # a name too long for the file system, or a parent that is a file
         return [f"out = {path!r}: {exc.strerror}"]
-    if path and not os.access(Path(path).parent, os.W_OK):
+    if not os.access(Path(path).parent, os.W_OK):
         return [f"out = {path!r}: its directory is missing or not writable"]
     return []
 
@@ -381,20 +385,17 @@ _COMMANDS = {
 }
 
 
-def _resolve(args, extra: list[str]) -> ExperimentConfig:
-    """The subcommand's config: its --config file, overridden by its flags, and by those that argparse left over."""
-    try:  # verify takes no config file
-        raw = _read(Path(args.config).read_text()) if getattr(args, "config", None) else {}
+def _resolve(args) -> ExperimentConfig:
+    """The subcommand's config: its --config file, overridden by its flags."""
+    if not _COMMANDS[args.command][1]:  # verify reads no key: its flags are its own
+        return ExperimentConfig()
+    try:
+        raw = _read(Path(args.config).read_text()) if args.config else {}
     except OSError as exc:
         raise ConfigError([f"config file {args.config!r}: {exc.strerror}"]) from None
     except UnicodeDecodeError as exc:
         raise ConfigError([f"config file {args.config!r} is not UTF-8 text: {exc.reason}"]) from None
-    flags = {k.metadata["cli"][0]: k.name for k in dataclasses.fields(ExperimentConfig)}
-    named = [flags.get(word.partition("=")[0]) for word in extra if word[:2] == "--"]  # keys it does not read
-    if extra and (None in named or extra[0][:2] != "--"):
-        raise ConfigError([f"unrecognized arguments: {' '.join(extra)}"])
-    raw.update(dict.fromkeys(named))
-    raw.update({key: v for key in _COMMANDS[args.command][1] if (v := getattr(args, key)) is not None})
+    raw.update({k.name: v for k in dataclasses.fields(ExperimentConfig) if (v := getattr(args, k.name)) is not None})
     problems = []
     if args.command == "table":
         args.t_values = _convert("t_values", args.t_values, _floats, "comma-separated numbers", problems)
@@ -431,12 +432,14 @@ def _parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, keys, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        if keys:
-            p.add_argument("--config", help="JSON or key=value config file; flags override it")
-        for k in dataclasses.fields(ExperimentConfig):  # values stay strings, which _validate converts as a file's
-            if k.name in keys:
-                flag, _, form = k.metadata["cli"]
-                p.add_argument(flag, dest=k.name, help=form)
+        if not keys:
+            continue
+        p.add_argument("--config", help="JSON or key=value config file; flags override it")
+        # Values stay strings, which _validate converts as a file's.  The flag of a key that the subcommand does
+        # not read is hidden from --help and taken only so that _validate refuses it by name.
+        for k in dataclasses.fields(ExperimentConfig):
+            flag, _, form = k.metadata["cli"]
+            p.add_argument(flag, dest=k.name, help=form if k.name in keys else argparse.SUPPRESS)
     sub.choices["table"].add_argument("--t-values", default="1e3,1e5,1e8",
                                       help="comma-separated horizons for the flat table")
     sub.choices["verify"].add_argument("--suite", choices=[*_SUITES, "all"], default="all")
@@ -446,8 +449,8 @@ def _parser() -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        args, extra = _parser().parse_known_args(_join_values(sys.argv[1:] if argv is None else argv))
-        code = _COMMANDS[args.command][2](_resolve(args, extra), args)
+        args = _parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
+        code = _COMMANDS[args.command][2](_resolve(args), args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except ConfigError as exc:

@@ -359,8 +359,10 @@ def test_help_lists_the_flags_of_the_keys_the_subcommand_reads(capsys, command):
     (["charfn", "--space", "flat", "--t", "0.01", "--scheme", "euler_maruyama"], "scheme"),
     (["table", "--space", "flat", "--seed", "5"], "seed"),
     (["table", "--space", "flat", "--dt", "1e-3"], "dt"),
-    (["verify", "--seed", "5"], "seed"),
-], ids=["simulate_paths", "simulate_lambda_norm", "charfn_scheme", "table_seed", "table_dt", "verify_seed"])
+    (["table", "--space", "flat", "--t", "1e3"], "t_end"),  # not a prefix of --t-values: --t is t_end's own flag
+    (["simulate", "--space", "flat", "--t", "0.01", "--r0", "1", "--pat", "5"], "n_paths"),  # a prefix of --paths
+], ids=["simulate_paths", "simulate_lambda_norm", "charfn_scheme", "table_seed", "table_dt", "table_t",
+        "simulate_paths_prefix"])
 def test_a_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, argv, key):
     assert _run([*argv, "--out", str(tmp_path / "o.csv")]) == 2
     captured = capsys.readouterr()
@@ -382,11 +384,12 @@ def test_a_config_file_key_the_subcommand_does_not_read_exits_2(tmp_path, capsys
     assert not (tmp_path / "o.csv").exists()
 
 
-def test_table_t_abbreviates_t_values(tmp_path, capsys):
-    # argparse takes a prefix of one flag as that flag; table has no --t of its own.
-    assert _run(["table", "--space", "flat", "--t", "1e3", "--out", str(tmp_path / "t.csv")]) == 0
-    assert _run(["table", "--space", "flat", "--t-values", "1e3", "--out", str(tmp_path / "t-values.csv")]) == 0
-    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "t-values.csv").read_bytes()
+def test_a_prefix_of_a_flag_the_subcommand_reads_is_that_flag(tmp_path, capsys):
+    # argparse takes an unambiguous prefix of a flag as that flag.
+    assert _run(["table", "--space", "flat", "--lambda", "2", "--t-v", "1e3", "--out", str(tmp_path / "a.csv")]) == 0
+    assert _run(["table", "--space", "flat", "--lambda-norm", "2", "--t-values", "1e3",
+                 "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 @pytest.mark.parametrize("argv,named", [
@@ -674,6 +677,12 @@ def test_malformed_flags_are_listed_config_errors(capsys):
     assert any("dt" in e and "'x'" in e for e in errors)
 
 
+def test_a_stray_word_after_a_flag_is_refused(capsys):
+    # Also after the flag of a key that the subcommand does not read.
+    assert cli.main(["simulate", "--space", "flat", "--paths", "5", "junk"]) == 2
+    assert capsys.readouterr().err == "config error: unrecognized arguments: junk\n"
+
+
 def test_every_typed_flag_is_validated_with_the_rest(tmp_path, capsys):
     common = ["--space", "moebius", "--t", "abc", "--seed", "x", "--r0", "q", "--out", str(tmp_path / "o.csv")]
     for argv, named in ((["charfn", "--paths", "1.5", "--workers", "two", "--block-size", "big"],
@@ -757,14 +766,26 @@ def test_a_subcommand_without_a_pool_ignores_octowind_workers(tmp_path, monkeypa
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.skipif(not os.access("/dev/full", os.W_OK), reason="needs a writable /dev/full")
 @pytest.mark.parametrize("argv", [
     ["simulate", "--space", "flat", "--t", "0.01", "--r0", "1"],
     ["verify", "--suite", "specfun"],
 ], ids=["simulate", "verify"])
 def test_a_failed_out_write_is_one_error_line(capsys, argv):
+    # /dev/full exists and is writable, so the check before the run passes it, whoever runs this: the directory
+    # /dev need not be writable.
     assert _run([*argv, "--out", "/dev/full"]) == 1
     assert capsys.readouterr().err == "error: out = '/dev/full': No space left on device\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root may write a read-only file")
+def test_a_read_only_out_file_exits_2_before_the_run(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    out.write_text("old\n")
+    out.chmod(0o444)
+    assert _run(["table", "--space", "flat", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: out = {str(out)!r} is not writable\n"
+    assert out.read_text() == "old\n"
 
 
 def test_a_closed_stdout_ends_quietly(tmp_path):
