@@ -80,7 +80,8 @@ class ExperimentConfig:
                                      default_factory=lambda: [1.0])
     seed: int = _key("--seed", _integer, "an integer >= 0", default=DEFAULT_SEED)
     out: Optional[str] = _key("--out", _text, "output CSV path", default=None)
-    scheme: str = _key("--scheme", str, " or ".join(SCHEMES), default=STRATONOVICH_HEUN)
+    scheme: str = _key("--scheme", str, " or ".join(SCHEMES) + "; read by a coordinate path off the flat space",
+                       default=STRATONOVICH_HEUN)
     workers: Optional[int] = _key("--workers", _integer, "an integer >= 1", default=None)  # None: OCTOWIND_WORKERS or 1
     block_size: int = _key("--block-size", _integer, "an integer >= 1", default=mc.DEFAULT_BLOCK_SIZE)
 
@@ -113,8 +114,11 @@ def _validate(raw: dict, violations=(), command: Optional[str] = None) -> Experi
     violations = list(violations)  # those the caller found come first
     keys = {k.name: k for k in dataclasses.fields(ExperimentConfig)}
     reads = set(_COMMANDS[command][1] if command else keys)
+    start = "w0" if "w0" in raw else "r0"  # simulate from w0 runs the coordinate path, which reads scheme, not r0
+    reads -= {"r0" if start == "w0" else "scheme"} if command == "simulate" else set()
     violations += [f"unknown key {key!r}" for key in sorted(set(raw) - set(keys))]
-    violations += [f"{key} is not read by {command}" for key in sorted(set(raw) & set(keys) - reads)]
+    violations += [f"{key} is not read by {command}" + (f" from {start}" if key in _COMMANDS[command][1] else "")
+                   for key in sorted(set(raw) & set(keys) - reads)]
     cfg = ExperimentConfig()
     for k in keys.values():
         if k.name in raw and k.name in reads:
@@ -130,6 +134,8 @@ def _validate(raw: dict, violations=(), command: Optional[str] = None) -> Experi
         violations.append("lambda_norms is empty; expected at least one |lambda|")
     if violations:
         raise ConfigError(violations)
+    if command == "simulate" and "scheme" in raw and cfg.space is ModelSpace.FLAT:  # w + dw in either scheme
+        raise ConfigError(["scheme is not read by simulate on the flat space"])
     return cfg
 
 
@@ -396,12 +402,16 @@ def _resolve(args) -> ExperimentConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError([f"config file {args.config!r} is not UTF-8 text: {exc.reason}"]) from None
     raw.update({k.name: v for k in dataclasses.fields(ExperimentConfig) if (v := getattr(args, k.name)) is not None})
-    problems = []
+    problems, t_given = [], args.command == "table" and args.t_values is not None
     if args.command == "table":
-        args.t_values = _convert("t_values", args.t_values, _floats, "comma-separated numbers", problems)
+        args.t_values = _convert("t_values", args.t_values if t_given else "1e3,1e5,1e8", _floats,
+                                 "comma-separated numbers", problems)
         problems += [f"t_values entry {t!r} violates 0 < t < inf"
                      for t in args.t_values or () if not 0 < t < math.inf]
-    return _validate(raw, problems, args.command)
+    cfg = _validate(raw, problems, args.command)
+    if t_given and cfg.space is not ModelSpace.FLAT:  # only the flat table has rows at finite t
+        raise ConfigError([f"t_values is not read by table on the {cfg.space.value} space"])
+    return cfg
 
 
 class _Parser(argparse.ArgumentParser):
@@ -440,8 +450,7 @@ def _parser() -> _Parser:
         for k in dataclasses.fields(ExperimentConfig):
             flag, _, form = k.metadata["cli"]
             p.add_argument(flag, dest=k.name, help=form if k.name in keys else argparse.SUPPRESS)
-    sub.choices["table"].add_argument("--t-values", default="1e3,1e5,1e8",
-                                      help="comma-separated horizons for the flat table")
+    sub.choices["table"].add_argument("--t-values", help="comma-separated horizons for the flat table")
     sub.choices["verify"].add_argument("--suite", choices=[*_SUITES, "all"], default="all")
     sub.choices["verify"].add_argument("--out", help="JSON report path")
     return parser

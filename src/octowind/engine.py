@@ -295,6 +295,7 @@ def _leaves_chart(spec, n2, r, n2_new, r_new) -> np.ndarray:
             | (np.abs(r_new - r) > MAX_RADIAL_STEP))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a step past the double range is not finite: _leaves_chart switches it
 def _coordinate_step(spec, w: np.ndarray, norm_sq: np.ndarray, dw_noise: np.ndarray,
                      h: float, scheme: str) -> np.ndarray:
     """Advance the columns of w (8, n), with |w|^2 = norm_sq, by one

@@ -384,6 +384,36 @@ def test_a_config_file_key_the_subcommand_does_not_read_exits_2(tmp_path, capsys
     assert not (tmp_path / "o.csv").exists()
 
 
+# simulate reads r0 only on the radial path and scheme only on the coordinate path (from w0), and the flat
+# coordinate step is w + dw in either scheme; only the flat table has rows at finite t.
+_W0 = ["--w0", "0.7,0,0,0,0,0,0,0"]
+
+
+@pytest.mark.parametrize("argv,config,error", [
+    (["simulate", "--space", "flat", "--t", "0.5", *_W0, "--r0", "0.5"], None, "r0 is not read by simulate from w0"),
+    (["simulate", "--space", "flat", "--t", "0.5", *_W0, "--scheme", "euler_maruyama"], None,
+     "scheme is not read by simulate on the flat space"),
+    (["simulate", "--space", "flat", "--t", "0.5", "--r0", "1", "--scheme", "euler_maruyama"], None,
+     "scheme is not read by simulate from r0"),
+    *((["table", "--space", space, "--t-values", t], None, f"t_values is not read by table on the {space} space")
+      for space, t in (("hyperbolic", "1e3"), ("hyperbolic", "1e5"), ("projective", "1e3"))),
+    (["simulate", "--space", "projective", "--r0", "1.6", "--w0", "0.1,0,0,0,0,0,0,0"], None,
+     "r0 is not read by simulate from w0"),
+    (["simulate", "--t", "0.5"], "space = hyperbolic\nw0 = 0.7,0,0,0,0,0,0,0\nr0 = 1\n",
+     "r0 is not read by simulate from w0"),
+    (["simulate", "--t", "0.5"], '{"space": "hyperbolic", "scheme": "euler_maruyama"}',
+     "scheme is not read by simulate from r0"),
+    (["simulate", "--t", "0.5", *_W0], "scheme = euler_maruyama\n", "scheme is not read by simulate on the flat space"),
+], ids=["flat_w0_r0", "flat_w0_scheme", "flat_r0_scheme", "hyperbolic_table_1e3", "hyperbolic_table_1e5",
+        "projective_table", "projective_w0_r0", "config_w0_r0", "config_r0_scheme", "config_flat_w0_scheme"])
+def test_a_key_the_path_does_not_read_exits_2(tmp_path, capsys, argv, config, error):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config or "")
+    assert _run([*argv, *(["--config", str(cfg)] if config else []), "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr() == ("", f"config error: {error}\n")
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_a_prefix_of_a_flag_the_subcommand_reads_is_that_flag(tmp_path, capsys):
     # argparse takes an unambiguous prefix of a flag as that flag.
     assert _run(["table", "--space", "flat", "--lambda", "2", "--t-v", "1e3", "--out", str(tmp_path / "a.csv")]) == 0
@@ -477,9 +507,10 @@ def _exit_0_or_2(argv: list[str], column: Optional[str] = None) -> None:
 @settings(max_examples=500, derandomize=True, deadline=None)
 @given(space=_SPACE, r0=_NUMBER, lambda_norms=_NUMBERS, t_values=_NUMBERS)
 def test_table_generated_closed_form_inputs(space, r0, lambda_norms, t_values):
-    # key=value flags, so that argparse takes a leading minus sign as part of the value
+    # key=value flags, so that argparse takes a leading minus sign as part of the value; only the flat table
+    # reads the horizons
     _exit_0_or_2(["table", f"--space={space}", f"--r0={r0}", f"--lambda-norm={lambda_norms}",
-                  f"--t-values={t_values}"], "closed_form_value")
+                  *([f"--t-values={t_values}"] if space == "flat" else [])], "closed_form_value")
 
 
 @settings(max_examples=500, derandomize=True, deadline=None)
@@ -578,10 +609,16 @@ _FLAGS = {k.name: k.metadata["cli"][0] for k in dataclasses.fields(cli.Experimen
          t_values="1e3")
 @example(keys={"r0": "-1e3", "t_end": "0.01", "dt": "1e-3", "n_paths": "1"}, t_values="1e3")
 def test_every_key_exits_0_or_2(tmp_path, monkeypatch, keys, t_values):
-    # Each subcommand runs the drawn keys that it reads twice: as --key value flags, and as a JSON config.
+    # Each subcommand runs the drawn keys that its path reads twice: as --key value flags, and as a JSON config.
+    # simulate reads r0 without a w0 start, and scheme with one off the flat space; only the flat table reads horizons.
     monkeypatch.chdir(tmp_path)
-    for command, extra in (("simulate", []), ("charfn", []), ("table", ["--t-values", t_values])):
+    flat = str(keys.get("space", "flat")).lower() == "flat"
+    for command, extra in (("simulate", []), ("charfn", []), ("table", ["--t-values", t_values] if flat else [])):
         read = {k: v for k, v in keys.items() if k in cli._COMMANDS[command][1]}
+        if command == "simulate":
+            read.pop("r0" if "w0" in read else "scheme", None)
+            if flat:
+                read.pop("scheme", None)
         Path("run.json").write_text(json.dumps({k: _json_value(v) for k, v in read.items()}))
         _exit_0_or_2([command, *(w for k, v in read.items() for w in (_FLAGS[k], _flag_text(v))), *extra])
         _exit_0_or_2([command, "--config", "run.json", *extra])
@@ -684,9 +721,10 @@ def test_a_stray_word_after_a_flag_is_refused(capsys):
 
 
 def test_every_typed_flag_is_validated_with_the_rest(tmp_path, capsys):
-    common = ["--space", "moebius", "--t", "abc", "--seed", "x", "--r0", "q", "--out", str(tmp_path / "o.csv")]
-    for argv, named in ((["charfn", "--paths", "1.5", "--workers", "two", "--block-size", "big"],
-                         ("'1.5'", "'two'", "'big'")), (["simulate", "--scheme", "rk4"], ("'rk4'",))):
+    # simulate reads scheme from a w0 start only, so its 'q' is a w0; charfn's is an r0.
+    common = ["--space", "moebius", "--t", "abc", "--seed", "x", "--out", str(tmp_path / "o.csv")]
+    for argv, named in ((["charfn", "--paths", "1.5", "--workers", "two", "--block-size", "big", "--r0", "q"],
+                         ("'1.5'", "'two'", "'big'")), (["simulate", "--scheme", "rk4", "--w0", "q"], ("'rk4'",))):
         assert cli.main([*argv, *common]) == 2
         err = capsys.readouterr().err
         assert "is not read by" not in err
@@ -703,10 +741,12 @@ _FLAG_HASHES = [
       "--seed", "4", "--scheme", "euler_maruyama"], "f2ce3921b25b7e50"),
     (["charfn", "--space", "hyperbolic", "--t", "2", "--dt", "0.01", "--paths", "300", "--block-size", "100",
       "--r0", "1.0", "--lambda-norm", "0.5,1", "--seed", "6", "--workers", "1"], "e44bee3e2c1184cd"),
+    # An off-flat table without --t-values still hashes the default horizons.
+    (["table", "--space", "hyperbolic", "--r0", "100", "--lambda-norm", "1e100"], "7d8d0acd9025320f"),
 ]
 
 
-@pytest.mark.parametrize("argv,config_hash", _FLAG_HASHES, ids=["radial", "coordinate", "charfn"])
+@pytest.mark.parametrize("argv,config_hash", _FLAG_HASHES, ids=["radial", "coordinate", "charfn", "table"])
 def test_flags_give_the_bytes_of_the_same_config_file(tmp_path, capsys, argv, config_hash):
     keys = {"--t": "t_end", "--paths": "n_paths", "--lambda-norm": "lambda_norms",
             "--block-size": "block_size"}

@@ -476,6 +476,19 @@ def test_coordinate_path_continues_past_the_switch():
     assert not np.array_equal(zeta[-1], zeta[-2])
 
 
+@pytest.mark.parametrize("space", [ModelSpace.PROJECTIVE, ModelSpace.HYPERBOLIC])
+@pytest.mark.parametrize("scheme", engine.SCHEMES)
+def test_a_coordinate_step_past_the_double_range_switches_without_a_warning(space, scheme):
+    # One step of the largest horizon: the Stratonovich-Heun corrector overflows and adds inf to -inf, so
+    # the step is not finite and the switch rule moves every path to the skew product (every warning is an
+    # error here).
+    w0 = np.zeros(8)
+    w0[7] = 0.25
+    t = engine.T_END_MAX
+    zeta, switched = simulate_coordinate_batch(space, w0, t, t, 4, make_rng(0), scheme=scheme)
+    assert switched == 4 and np.isfinite(zeta).all()
+
+
 def test_coordinate_deterministic():
     cfg = SimConfig(space=ModelSpace.PROJECTIVE, t_end=0.5, dt=1e-3,
                     w0=_w0(ModelSpace.PROJECTIVE, 0.6), seed=77)
