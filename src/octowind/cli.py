@@ -78,6 +78,8 @@ class ExperimentConfig:
     w0: Optional[np.ndarray] = _key("--w0", lambda v: np.array(_floats(v)), "8 comma-separated numbers", default=None)
     lambda_norms: list[float] = _key("--lambda-norm", _floats, "comma-separated |lambda| values >= 0",
                                      default_factory=lambda: [1.0])
+    t_values: Optional[list[float]] = _key("--t-values", _floats, "comma-separated horizons 0 < t < inf; read by "
+                                           "table on the flat space", default=None)  # table: 1e3, 1e5, 1e8
     seed: int = _key("--seed", _integer, "an integer >= 0", default=DEFAULT_SEED)
     out: Optional[str] = _key("--out", _text, "output CSV path", default=None)
     scheme: str = _key("--scheme", str, " or ".join(SCHEMES) + "; read by a coordinate path off the flat space",
@@ -85,14 +87,13 @@ class ExperimentConfig:
     workers: Optional[int] = _key("--workers", _integer, "an integer >= 1", default=None)  # None: OCTOWIND_WORKERS or 1
     block_size: int = _key("--block-size", _integer, "an integer >= 1", default=mc.DEFAULT_BLOCK_SIZE)
 
-    def config_hash(self, t_values: Optional[list[float]] = None) -> str:
-        """Hash of the fields, and of the horizons when ``table`` passes them;
-        the output location is not part of it."""
+    def config_hash(self) -> str:
+        """Hash of the fields; the output location is not part of it, nor are horizons that no table set."""
         d = dataclasses.asdict(self)
         del d["out"]
         d["workers"] = 1  # results do not depend on the worker count, so neither does the hash
-        if t_values is not None:
-            d["t_values"] = t_values
+        if self.t_values is None:
+            del d["t_values"]
         d["space"] = self.space.value
         if self.w0 is not None:
             d["w0"] = [float(v) for v in self.w0]
@@ -100,31 +101,26 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _convert(key: str, value, convert, form: str, violations: list):
-    """``convert(value)``, or None with the violation listed."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        violations.append(f"{key} = {value!r}; expected {form}")
-
-
-def _validate(raw: dict, violations=(), command: Optional[str] = None) -> ExperimentConfig:
+def _validate(raw: dict, command: Optional[str] = None) -> ExperimentConfig:
     """The config in ``raw``, where a key that ``command`` does not read is refused and keeps its default (with no
     command, every key is read); a subcommand that does not read workers runs no pool and ignores OCTOWIND_WORKERS."""
-    violations = list(violations)  # those the caller found come first
     keys = {k.name: k for k in dataclasses.fields(ExperimentConfig)}
     reads = set(_COMMANDS[command][1] if command else keys)
     start = "w0" if "w0" in raw else "r0"  # simulate from w0 runs the coordinate path, which reads scheme, not r0
     reads -= {"r0" if start == "w0" else "scheme"} if command == "simulate" else set()
-    violations += [f"unknown key {key!r}" for key in sorted(set(raw) - set(keys))]
+    violations = [f"unknown key {key!r}" for key in sorted(set(raw) - set(keys))]
     violations += [f"{key} is not read by {command}" + (f" from {start}" if key in _COMMANDS[command][1] else "")
                    for key in sorted(set(raw) & set(keys) - reads)]
-    cfg = ExperimentConfig()
+    cfg = ExperimentConfig(t_values=[1e3, 1e5, 1e8] if command == "table" else None)
     for k in keys.values():
         if k.name in raw and k.name in reads:
-            value = _convert(k.name, raw[k.name], *k.metadata["cli"][1:], violations)
-            if value is not None or k.name == "r0":  # an unreadable r0 leaves no start point
-                setattr(cfg, k.name, value)
+            _, convert, form = k.metadata["cli"]
+            try:
+                setattr(cfg, k.name, convert(raw[k.name]))
+            except (TypeError, ValueError, OverflowError):
+                violations.append(f"{k.name} = {raw[k.name]!r}; expected {form}")
+                if k.name == "r0":  # an unreadable r0 leaves no start point
+                    cfg.r0 = None
     violations += engine.sim_problems(cfg.space, cfg.t_end, cfg.dt, cfg.scheme, cfg.r0, cfg.w0)
     violations += mc.run_problems(cfg.n_paths, cfg.block_size, cfg.workers if "workers" in reads else 1, cfg.seed)
     violations += _out_problems(cfg.out)
@@ -132,10 +128,14 @@ def _validate(raw: dict, violations=(), command: Optional[str] = None) -> Experi
                    for v in cfg.lambda_norms if not 0 <= v <= specfun.LAMBDA_MAX]
     if not cfg.lambda_norms:
         violations.append("lambda_norms is empty; expected at least one |lambda|")
+    violations += [f"t_values entry {t!r} violates 0 < t < inf" for t in cfg.t_values or () if not 0 < t < math.inf]
     if violations:
         raise ConfigError(violations)
-    if command == "simulate" and "scheme" in raw and cfg.space is ModelSpace.FLAT:  # w + dw in either scheme
-        raise ConfigError(["scheme is not read by simulate on the flat space"])
+    # scheme is read only off the flat space (there a coordinate step is w + dw in either scheme), and t_values
+    # only on it (only the flat table has rows at finite t).
+    key = {"simulate": "scheme", "table": "t_values"}.get(command)
+    if key in raw and (cfg.space is ModelSpace.FLAT) == (key == "scheme"):
+        raise ConfigError([f"{key} is not read by {command} on the {cfg.space.value} space"])
     return cfg
 
 
@@ -278,10 +278,10 @@ def _cmd_charfn(cfg: ExperimentConfig, args) -> int:
 def _cmd_table(cfg: ExperimentConfig, args) -> int:
     # Per |lambda|, the flat rows (of sqrt(6 / log t) zeta(t) past t = 1, as in the flat limit), then the limit.
     entries = [(ln, t, ln * math.sqrt(6.0 / math.log(t)) if 1 < t < math.inf else ln)
-               for ln in cfg.lambda_norms for t in [*(args.t_values if cfg.space is ModelSpace.FLAT else []), math.inf]]
+               for ln in cfg.lambda_norms for t in [*(cfg.t_values if cfg.space is ModelSpace.FLAT else []), math.inf]]
     rows = [[cfg.space.value, ln, cfg.r0, t, v] for (ln, t, _), v in zip(entries, _closed_forms(cfg, entries))]
     header = ["space", "lambda_norm", "r0", "t", "closed_form_value"]
-    _write_csv(cfg.out, header, rows, cfg.config_hash(t_values=args.t_values))
+    _write_csv(cfg.out, header, rows, cfg.config_hash())
     if cfg.out:
         print(f"wrote {len(rows)} rows to {cfg.out}")
     return 0
@@ -386,7 +386,7 @@ _COMMANDS = {
                  _cmd_simulate),
     "charfn": ("Monte Carlo characteristic function vs closed form", ("space", "t_end", "dt", "n_paths", "r0",
                "lambda_norms", "seed", "out", "workers", "block_size"), _cmd_charfn),
-    "table": ("closed-form reference values as CSV", ("space", "r0", "lambda_norms", "out"), _cmd_table),
+    "table": ("closed-form reference values as CSV", ("space", "r0", "lambda_norms", "t_values", "out"), _cmd_table),
     "verify": ("run a property suite", (), _cmd_verify),
 }
 
@@ -402,16 +402,7 @@ def _resolve(args) -> ExperimentConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError([f"config file {args.config!r} is not UTF-8 text: {exc.reason}"]) from None
     raw.update({k.name: v for k in dataclasses.fields(ExperimentConfig) if (v := getattr(args, k.name)) is not None})
-    problems, t_given = [], args.command == "table" and args.t_values is not None
-    if args.command == "table":
-        args.t_values = _convert("t_values", args.t_values if t_given else "1e3,1e5,1e8", _floats,
-                                 "comma-separated numbers", problems)
-        problems += [f"t_values entry {t!r} violates 0 < t < inf"
-                     for t in args.t_values or () if not 0 < t < math.inf]
-    cfg = _validate(raw, problems, args.command)
-    if t_given and cfg.space is not ModelSpace.FLAT:  # only the flat table has rows at finite t
-        raise ConfigError([f"t_values is not read by table on the {cfg.space.value} space"])
-    return cfg
+    return _validate(raw, args.command)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -450,7 +441,6 @@ def _parser() -> _Parser:
         for k in dataclasses.fields(ExperimentConfig):
             flag, _, form = k.metadata["cli"]
             p.add_argument(flag, dest=k.name, help=form if k.name in keys else argparse.SUPPRESS)
-    sub.choices["table"].add_argument("--t-values", help="comma-separated horizons for the flat table")
     sub.choices["verify"].add_argument("--suite", choices=[*_SUITES, "all"], default="all")
     sub.choices["verify"].add_argument("--out", help="JSON report path")
     return parser

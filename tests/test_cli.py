@@ -361,8 +361,10 @@ def test_help_lists_the_flags_of_the_keys_the_subcommand_reads(capsys, command):
     (["table", "--space", "flat", "--dt", "1e-3"], "dt"),
     (["table", "--space", "flat", "--t", "1e3"], "t_end"),  # not a prefix of --t-values: --t is t_end's own flag
     (["simulate", "--space", "flat", "--t", "0.01", "--r0", "1", "--pat", "5"], "n_paths"),  # a prefix of --paths
+    (["simulate", "--space", "flat", "--t", "0.01", "--r0", "1", "--t-values", "1e3"], "t_values"),
+    (["charfn", "--space", "flat", "--t", "0.01", "--t-values", "1e3"], "t_values"),
 ], ids=["simulate_paths", "simulate_lambda_norm", "charfn_scheme", "table_seed", "table_dt", "table_t",
-        "simulate_paths_prefix"])
+        "simulate_paths_prefix", "simulate_t_values", "charfn_t_values"])
 def test_a_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, argv, key):
     assert _run([*argv, "--out", str(tmp_path / "o.csv")]) == 2
     captured = capsys.readouterr()
@@ -404,8 +406,10 @@ _W0 = ["--w0", "0.7,0,0,0,0,0,0,0"]
     (["simulate", "--t", "0.5"], '{"space": "hyperbolic", "scheme": "euler_maruyama"}',
      "scheme is not read by simulate from r0"),
     (["simulate", "--t", "0.5", *_W0], "scheme = euler_maruyama\n", "scheme is not read by simulate on the flat space"),
+    (["table", "--space", "hyperbolic"], "t_values = 1e3\n", "t_values is not read by table on the hyperbolic space"),
 ], ids=["flat_w0_r0", "flat_w0_scheme", "flat_r0_scheme", "hyperbolic_table_1e3", "hyperbolic_table_1e5",
-        "projective_table", "projective_w0_r0", "config_w0_r0", "config_r0_scheme", "config_flat_w0_scheme"])
+        "projective_table", "projective_w0_r0", "config_w0_r0", "config_r0_scheme", "config_flat_w0_scheme",
+        "config_hyperbolic_table"])
 def test_a_key_the_path_does_not_read_exits_2(tmp_path, capsys, argv, config, error):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config or "")
@@ -541,6 +545,7 @@ _KEY_VALUES = {
     "w0": (st.lists(st.floats(-0.3, 0.3), min_size=8, max_size=8),
            [[0.1] * 7, [0.1] * 9, "0,0,0,0,0,0,0,1e300", ",".join(["nan"] * 8)]),
     "lambda_norms": (st.one_of(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3), _NUMBERS), [","]),
+    "t_values": (st.one_of(st.lists(st.floats(1e-3, 1e12), max_size=3), _NUMBERS), [0, -5, "nan", "inf", "abc"]),
     "block_size": (st.sampled_from([4, 25_000, "5", 5.0, 10 ** 30]), [0, -2, 2.5]),
     "workers": (st.sampled_from([1, 2, "2", 2.0, 10 ** 30]), [0, -3, 1.5, "two"]),
     "seed": (st.sampled_from([0, 7, "7", 2.0, 2 ** 64, 10 ** 30]), [-1, 0.5]),
@@ -602,26 +607,28 @@ _FLAGS = {k.name: k.metadata["cli"][0] for k in dataclasses.fields(cli.Experimen
 
 @settings(max_examples=500, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(keys=_every_key(), t_values=_NUMBERS)
+@given(keys=_every_key())
 # Path counts that NumPy cannot index, and a value that starts with a minus sign.
-@example(keys={"space": "flat", "t_end": "0.01", "dt": "1e-3", "n_paths": "1" + "0" * 26}, t_values="1e3")
-@example(keys={"t_end": "0.01", "dt": "1e-3", "n_paths": "1" + "0" * 19, "block_size": "1" + "0" * 19},
-         t_values="1e3")
-@example(keys={"r0": "-1e3", "t_end": "0.01", "dt": "1e-3", "n_paths": "1"}, t_values="1e3")
-def test_every_key_exits_0_or_2(tmp_path, monkeypatch, keys, t_values):
+@example(keys={"space": "flat", "t_end": "0.01", "dt": "1e-3", "n_paths": "1" + "0" * 26, "t_values": "1e3"})
+@example(keys={"t_end": "0.01", "dt": "1e-3", "n_paths": "1" + "0" * 19, "block_size": "1" + "0" * 19,
+               "t_values": "1e3"})
+@example(keys={"r0": "-1e3", "t_end": "0.01", "dt": "1e-3", "n_paths": "1", "t_values": "1e3"})
+def test_every_key_exits_0_or_2(tmp_path, monkeypatch, keys):
     # Each subcommand runs the drawn keys that its path reads twice: as --key value flags, and as a JSON config.
     # simulate reads r0 without a w0 start, and scheme with one off the flat space; only the flat table reads horizons.
     monkeypatch.chdir(tmp_path)
     flat = str(keys.get("space", "flat")).lower() == "flat"
-    for command, extra in (("simulate", []), ("charfn", []), ("table", ["--t-values", t_values] if flat else [])):
+    for command in ("simulate", "charfn", "table"):
         read = {k: v for k, v in keys.items() if k in cli._COMMANDS[command][1]}
         if command == "simulate":
             read.pop("r0" if "w0" in read else "scheme", None)
             if flat:
                 read.pop("scheme", None)
+        if command == "table" and not flat:
+            read.pop("t_values", None)
         Path("run.json").write_text(json.dumps({k: _json_value(v) for k, v in read.items()}))
-        _exit_0_or_2([command, *(w for k, v in read.items() for w in (_FLAGS[k], _flag_text(v))), *extra])
-        _exit_0_or_2([command, "--config", "run.json", *extra])
+        _exit_0_or_2([command, *(w for k, v in read.items() for w in (_FLAGS[k], _flag_text(v)))])
+        _exit_0_or_2([command, "--config", "run.json"])
 
 
 @pytest.mark.parametrize("out", ["missing/o.csv", "."], ids=["missing_dir", "directory"])
@@ -743,15 +750,16 @@ _FLAG_HASHES = [
       "--r0", "1.0", "--lambda-norm", "0.5,1", "--seed", "6", "--workers", "1"], "e44bee3e2c1184cd"),
     # An off-flat table without --t-values still hashes the default horizons.
     (["table", "--space", "hyperbolic", "--r0", "100", "--lambda-norm", "1e100"], "7d8d0acd9025320f"),
+    (["table", "--space", "flat", "--lambda-norm", "1.0", "--t-values", "1e3,1e5,1e8"], "4767eadccb428b1c"),
 ]
 
 
-@pytest.mark.parametrize("argv,config_hash", _FLAG_HASHES, ids=["radial", "coordinate", "charfn", "table"])
+@pytest.mark.parametrize("argv,config_hash", _FLAG_HASHES, ids=["radial", "coordinate", "charfn", "table",
+                                                               "flat_table"])
 def test_flags_give_the_bytes_of_the_same_config_file(tmp_path, capsys, argv, config_hash):
-    keys = {"--t": "t_end", "--paths": "n_paths", "--lambda-norm": "lambda_norms",
-            "--block-size": "block_size"}
+    keys = {flag: key for key, flag in _FLAGS.items()}
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("".join(f"{keys.get(f, f[2:])} = {v}\n" for f, v in zip(argv[1::2], argv[2::2])))
+    cfg.write_text("".join(f"{keys[f]} = {v}\n" for f, v in zip(argv[1::2], argv[2::2])))
     assert _run([*argv, "--out", str(tmp_path / "flags.csv")]) == 0
     assert _run([argv[0], "--config", str(cfg), "--out", str(tmp_path / "file.csv")]) == 0
     flags = (tmp_path / "flags.csv").read_bytes()
