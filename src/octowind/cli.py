@@ -41,8 +41,9 @@ def _number(value) -> float:
 
 
 def _floats(value) -> list[float]:
-    """A list of numbers, or comma-separated text of them."""
-    return [_number(v) for v in (value.split(",") if isinstance(value, str) else value) if str(v).strip()]
+    """A list of numbers, comma-separated text of them, or one number (a one-entry list)."""
+    items = value.split(",") if isinstance(value, str) else [value] if isinstance(value, (int, float)) else value
+    return [_number(v) for v in items if str(v).strip()]
 
 
 def _integer(value) -> int:
@@ -119,8 +120,6 @@ def _validate(raw: dict, command: Optional[str] = None) -> ExperimentConfig:
                 setattr(cfg, k.name, convert(raw[k.name]))
             except (TypeError, ValueError, OverflowError):
                 violations.append(f"{k.name} = {raw[k.name]!r}; expected {form}")
-                if k.name == "r0":  # an unreadable r0 leaves no start point
-                    cfg.r0 = None
     violations += engine.sim_problems(cfg.space, cfg.t_end, cfg.dt, cfg.scheme, cfg.r0, cfg.w0)
     violations += mc.run_problems(cfg.n_paths, cfg.block_size, cfg.workers if "workers" in reads else 1, cfg.seed)
     violations += _out_problems(cfg.out)
@@ -217,7 +216,7 @@ def _write_csv(path: Optional[str], header: list[str], rows, config_hash: str) -
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
+def _cmd_simulate(cfg: ExperimentConfig) -> int:
     if cfg.w0 is not None:
         path = engine.simulate_coordinate(cfg)
         end = path[-1]
@@ -257,7 +256,7 @@ def _closed_forms(cfg: ExperimentConfig, entries) -> list[float]:
     return values
 
 
-def _cmd_charfn(cfg: ExperimentConfig, args) -> int:
+def _cmd_charfn(cfg: ExperimentConfig) -> int:
     closed = _closed_forms(cfg, [(ln, cfg.t_end, ln) for ln in cfg.lambda_norms])  # before the run
     stop_tol = 1e-13 if cfg.space is ModelSpace.HYPERBOLIC else None
     result = mc.run_radial_mc(
@@ -275,7 +274,7 @@ def _cmd_charfn(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def _cmd_table(cfg: ExperimentConfig, args) -> int:
+def _cmd_table(cfg: ExperimentConfig) -> int:
     # Per |lambda|, the flat rows (of sqrt(6 / log t) zeta(t) past t = 1, as in the flat limit), then the limit.
     entries = [(ln, t, ln * math.sqrt(6.0 / math.log(t)) if 1 < t < math.inf else ln)
                for ln in cfg.lambda_norms for t in [*(cfg.t_values if cfg.space is ModelSpace.FLAT else []), math.inf]]
@@ -356,7 +355,7 @@ _SUITES = {
 }
 
 
-def _cmd_verify(cfg: ExperimentConfig, args) -> int:
+def _cmd_verify(args) -> int:
     if problems := _out_problems(args.out):
         raise ConfigError(problems)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
@@ -380,7 +379,7 @@ def _cmd_verify(cfg: ExperimentConfig, args) -> int:
 # Argument parsing
 
 # Each subcommand: its help line, the config keys it reads (the flags it takes), and its handler, which gets
-# the validated config and the parsed arguments.  verify reads no key: its flags are its own.
+# the validated config.  verify reads no key: its flags are its own, and its handler gets the parsed arguments.
 _COMMANDS = {
     "simulate": ("dump one trajectory to CSV", ("space", "t_end", "dt", "r0", "w0", "seed", "out", "scheme"),
                  _cmd_simulate),
@@ -393,8 +392,6 @@ _COMMANDS = {
 
 def _resolve(args) -> ExperimentConfig:
     """The subcommand's config: its --config file, overridden by its flags."""
-    if not _COMMANDS[args.command][1]:  # verify reads no key: its flags are its own
-        return ExperimentConfig()
     try:
         raw = _read(Path(args.config).read_text()) if args.config else {}
     except OSError as exc:
@@ -449,7 +446,8 @@ def _parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
-        code = _COMMANDS[args.command][2](_resolve(args), args)
+        _, keys, handler = _COMMANDS[args.command]
+        code = handler(_resolve(args) if keys else args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except ConfigError as exc:

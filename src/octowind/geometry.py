@@ -94,8 +94,8 @@ def _bisect(drift, target, dt, hi):
 def _flat_radial(tilt):
     mu = 0.0 if tilt is None else float(tilt)
     k = (7.0 + 2.0 * mu) / 2.0
-    if k <= 0:
-        raise DomainError("flat tilt must keep the Bessel drift positive (mu > -3.5)")
+    if not 0 < k < math.inf:  # NaN fails it too
+        raise DomainError("flat tilt must keep the Bessel drift positive and finite (-3.5 < mu < 2**1023)")
 
     def law(r):
         # Past r = 1e154, where r * r would overflow, the rate is held at 1e-308.  np.square, not ** 2,

@@ -148,17 +148,18 @@ def oh1_limit_charfn_expanded(lambda_norm: float, r0: float) -> float:
     return math.tanh(r0) ** (nu - 3.0) / ch6 * (ch6 + (6.0 * nu - 18.0) * a)
 
 
-def oh1_moment_cascade_scaled(a_hat: float, b_hat: float, r0: float, t: float):
+def oh1_moment_cascade_scaled(lambda_norm: float, r0: float, t: float):
     """Rescaled tilted moments (e^{-4t} m2, e^{-12t} m4, e^{-24t} m6).
 
-    m2k(t) = E^(a_hat, b_hat)[cosh^{2k}(r(t))]; evaluated from the exact
-    solution of the moment ODE cascade, stable for arbitrarily large t.
-    Multiply back by e^{4t}, e^{12t}, e^{24t} for the moments themselves.
+    m2k(t) = E^(a_hat, b_hat)[cosh^{2k}(r(t))] under (a_hat, b_hat) = hyperbolic_tilt(|lambda|), where
+    a_hat + b_hat = -6; evaluated from the exact solution of the moment ODE cascade, stable for arbitrarily
+    large t.  Multiply back by e^{4t}, e^{12t}, e^{24t} for the moments themselves.
     """
-    if not (0 < r0 <= COSH6_R_MAX and t >= 0):  # NaN fails it too
-        raise DomainError(f"oh1_moment_cascade_scaled requires 0 < r0 <= {COSH6_R_MAX!r}, past which cosh^6(r0) "
-                          "overflows, and t >= 0")
-    ch2 = math.cosh(r0) ** 2
+    lam = float(lambda_norm)
+    if not (0.0 <= lam <= LAMBDA_MAX and 0 < r0 <= COSH6_R_MAX and t >= 0):  # NaN fails it too
+        raise DomainError(f"oh1_moment_cascade_scaled requires 0 <= |lambda| <= {LAMBDA_MAX!r}, 0 < r0 <= "
+                          f"{COSH6_R_MAX!r}, past which cosh^6(r0) overflows, and t >= 0")
+    b_hat, ch2 = hyperbolic_tilt(lam)[1], math.cosh(r0) ** 2
     # cosh^2 obeys m2' = 4 m2 - (2 b_hat + 8).
     k2 = (2.0 * b_hat + 8.0) / 4.0
     c2 = ch2 - k2

@@ -31,6 +31,10 @@ def test_parse_config_json():
     assert cfg.space is ModelSpace.PROJECTIVE
     assert cfg.t_end == 2.5
     assert cfg.n_paths == 100
+    # A bare number is a one-entry list, as the same key=value line is.
+    cfg = cli.parse_config('{"lambda_norms": 1.0, "t_values": 1000}')
+    assert cfg.lambda_norms == [1.0] and cfg.t_values == [1000.0]
+    assert cfg.config_hash() == cli.parse_config("lambda_norms = 1.0\nt_values = 1000\n").config_hash()
 
 
 def test_parse_config_key_value():
@@ -111,13 +115,10 @@ def test_validate_hyperbolic_chart_bound():
 
 
 def test_validate_requires_start_point():
-    # An unparseable r0 leaves the run without a start point; both problems
-    # must be reported.
+    # An unparseable r0 is one refusal: r0 keeps its default, which lies inside every radial domain.
     with pytest.raises(ConfigError) as exc:
         cli._validate({"r0": "x"})
-    msgs = "\n".join(exc.value.violations)
-    assert "r0" in msgs
-    assert "required" in msgs
+    assert exc.value.violations == ["r0 = 'x'; expected a number inside the radial domain"]
 
 
 def test_config_hash_stable():

@@ -188,8 +188,9 @@ def test_zero_tilt_reproduces_untilted_path(space):
 
 
 def test_flat_tilt_bound():
-    with pytest.raises(DomainError):
-        simulate_radial_batch(ModelSpace.FLAT, 1.0, 0.1, 1e-2, 5, make_rng(1), tilt=-3.6)
+    for mu in (-3.6, math.nan, math.inf):  # refused at the check, not by a path leaving the domain a step later
+        with pytest.raises(DomainError, match="positive and finite"):
+            simulate_radial_batch(ModelSpace.FLAT, 1.0, 0.1, 1e-2, 5, make_rng(1), tilt=mu)
 
 
 def test_implicit_guard_keeps_paths_in_domain():

@@ -1,6 +1,7 @@
 """Closed-form special functions, with mpmath and calculus-based oracles."""
 
 import math
+import re
 import sys
 
 import mpmath
@@ -272,20 +273,19 @@ def test_cascade_satisfies_its_odes():
     # Finite-difference time derivative of the closed-form moments, rescaled:
     # with s2 = e^{-4t} m2, s4 = e^{-12t} m4 and s6 = e^{-24t} m6 the cascade reads
     # s2' = -(2b+8) e^{-4t}, s4' = -(4b+20) e^{-8t} s2 and s6' = -(6b+36) e^{-12t} s4.
-    a_hat, b_hat = specfun.hyperbolic_tilt(1.0)
+    b_hat = specfun.hyperbolic_tilt(1.0)[1]
     r0, t, h = 1.0, 0.6, 1e-6
-    s2p, s4p, s6p = specfun.oh1_moment_cascade_scaled(a_hat, b_hat, r0, t + h)
-    s2m, s4m, s6m = specfun.oh1_moment_cascade_scaled(a_hat, b_hat, r0, t - h)
-    s2, s4, s6 = specfun.oh1_moment_cascade_scaled(a_hat, b_hat, r0, t)
+    s2p, s4p, s6p = specfun.oh1_moment_cascade_scaled(1.0, r0, t + h)
+    s2m, s4m, s6m = specfun.oh1_moment_cascade_scaled(1.0, r0, t - h)
+    s2, s4, s6 = specfun.oh1_moment_cascade_scaled(1.0, r0, t)
     assert (s2p - s2m) / (2 * h) == pytest.approx(-(2 * b_hat + 8) * math.exp(-4 * t), rel=1e-7)
     assert (s4p - s4m) / (2 * h) == pytest.approx(-(4 * b_hat + 20) * math.exp(-8 * t) * s2, rel=1e-7)
     assert (s6p - s6m) / (2 * h) == pytest.approx(-(6 * b_hat + 36) * math.exp(-12 * t) * s4, rel=1e-7)
 
 
 def test_cascade_initial_values():
-    a_hat, b_hat = specfun.hyperbolic_tilt(0.8)
     r0 = 1.3
-    m2, m4, m6 = specfun.oh1_moment_cascade_scaled(a_hat, b_hat, r0, 0.0)  # e^0 = 1: the moments themselves
+    m2, m4, m6 = specfun.oh1_moment_cascade_scaled(0.8, r0, 0.0)  # e^0 = 1: the moments themselves
     assert m2 == pytest.approx(math.cosh(r0) ** 2, rel=1e-12)
     assert m4 == pytest.approx(math.cosh(r0) ** 4, rel=1e-12)
     assert m6 == pytest.approx(math.cosh(r0) ** 6, rel=1e-12)
@@ -297,23 +297,25 @@ def test_cascade_limit_reproduces_oh1_limit():
     for ln in (0.5, 1.0, 2.0):
         for r0 in (0.5, 1.0, 2.0):
             nu = specfun.order_from_lambda(ln)
-            a_hat, b_hat = specfun.hyperbolic_tilt(ln)
-            s6_inf = specfun.oh1_moment_cascade_scaled(a_hat, b_hat, r0, 50.0)[2]
+            s6_inf = specfun.oh1_moment_cascade_scaled(ln, r0, 50.0)[2]
             val = math.tanh(r0) ** (nu - 3.0) / math.cosh(r0) ** 6 * s6_inf
             assert val == pytest.approx(specfun.oh1_limit_charfn(ln, r0), rel=1e-12)
 
 
 def test_cascade_scaled_is_finite_for_long_horizons():
-    a_hat, b_hat = specfun.hyperbolic_tilt(1.0)
-    s2, s4, s6 = specfun.oh1_moment_cascade_scaled(a_hat, b_hat, 1.0, 500.0)
+    s2, s4, s6 = specfun.oh1_moment_cascade_scaled(1.0, 1.0, 500.0)
     assert all(math.isfinite(v) for v in (s2, s4, s6))
     with pytest.raises(DomainError):
-        specfun.oh1_moment_cascade_scaled(a_hat, b_hat, -1.0, 1.0)
+        specfun.oh1_moment_cascade_scaled(1.0, -1.0, 1.0)
     with pytest.raises(DomainError):
-        specfun.oh1_moment_cascade_scaled(a_hat, b_hat, 1.0, -1.0)
-    # Past the r0 where cosh^6(r0) overflows, or at a NaN r0 or t, it refuses.
-    assert all(math.isfinite(v) for v in specfun.oh1_moment_cascade_scaled(0.1, -6.1, specfun.COSH6_R_MAX, 1.0))
-    for r0, t in ((math.nextafter(specfun.COSH6_R_MAX, math.inf), 1.0), (119.0, 1.0), (math.inf, 1.0),
-                  (math.nan, 1.0), (1.0, math.nan)):
-        with pytest.raises(DomainError, match=f"0 < r0 <= {specfun.COSH6_R_MAX!r}, past which cosh"):
-            specfun.oh1_moment_cascade_scaled(0.1, -6.1, r0, t)
+        specfun.oh1_moment_cascade_scaled(1.0, 1.0, -1.0)
+    # Past the r0 where cosh^6(r0) overflows, at a NaN r0 or t, or at a NaN or negative |lambda|, it refuses.
+    # |lambda| = sqrt(0.61) is the tilt (0.1, -6.1).
+    ln = math.sqrt(0.61)
+    assert all(math.isfinite(v) for v in specfun.oh1_moment_cascade_scaled(ln, specfun.COSH6_R_MAX, 1.0))
+    for lam, r0, t in ((ln, math.nextafter(specfun.COSH6_R_MAX, math.inf), 1.0), (ln, 119.0, 1.0),
+                       (ln, math.inf, 1.0), (ln, math.nan, 1.0), (ln, 1.0, math.nan), (math.nan, 1.0, 1.0),
+                       (-ln, 1.0, 1.0)):
+        with pytest.raises(DomainError, match=re.escape(f"0 <= |lambda| <= {specfun.LAMBDA_MAX!r}, 0 < r0 <= "
+                                                        f"{specfun.COSH6_R_MAX!r}, past which cosh")):
+            specfun.oh1_moment_cascade_scaled(lam, r0, t)
